@@ -169,12 +169,10 @@ def cmd_expected(config: GameConfig) -> dict:
 def render_region_csv(config: GameConfig) -> str:
     """CSV text of the decision region grid, p1 outer and ascending."""
     grid = region_grid(config.utilities, config.resolution)
+    labels = [_format_probability(grid.axis_value(i)) for i in range(grid.resolution)]
     lines = ["p1,p2,choice"]
-    for i in range(grid.resolution):
-        p1 = _format_probability(grid.axis_value(i))
-        for j in range(grid.resolution):
-            p2 = _format_probability(grid.axis_value(j))
-            lines.append(f"{p1},{p2},{grid.cells[i][j].value}")
+    for p1, row in zip(labels, grid.cells):
+        lines.extend(f"{p1},{p2},{cell.value}" for p2, cell in zip(labels, row))
     return "\n".join(lines) + "\n"
 
 
@@ -282,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "expected":
             document = cmd_expected(_load_config(args))
-            print(json.dumps(document, indent=2))
+            print(json.dumps(document, indent=2, allow_nan=False))
         elif args.command == "region":
             cmd_region(_load_config(args), args.out)
         elif args.command == "graph":
@@ -291,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_graph(args.out, base_chain_only=args.base_chain_only)
         elif args.command == "simulate":
             document = cmd_simulate(_load_config(args))
-            print(json.dumps(document, indent=2))
+            print(json.dumps(document, indent=2, allow_nan=False))
     except NewcombError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

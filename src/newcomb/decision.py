@@ -49,7 +49,7 @@ __all__ = [
 
 
 class CChoice(Enum):
-    """C's move: take only the opaque box (C1) or both boxes (C2)."""
+    """C's move: take both boxes (C1) or only the opaque box (C2)."""
 
     C1 = "C1"
     C2 = "C2"
@@ -221,17 +221,20 @@ def region_grid(v: UtilityMatrix, resolution: int = 101) -> RegionGrid:
     """Evaluate choose() on an inclusive resolution x resolution grid.
 
     The first index runs over p1, the second over p2, both ascending
-    from 0 to 1 in steps of 1/(resolution-1).
+    from 0 to 1 in steps of 1/(resolution-1). U1 depends only on p1 and
+    U2 only on p2, so the grid is the outer comparison of two utility
+    vectors, each computed with the same float operations as
+    expected_utilities().
     """
     if isinstance(resolution, bool) or not isinstance(resolution, int):
         raise ValidationError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise ValidationError(f"resolution must be >= 2, got {resolution}")
     step = resolution - 1
-    cells = tuple(
-        tuple(choose(v, PredictorProfile(i / step, j / step)) for j in range(resolution))
-        for i in range(resolution)
-    )
+    axis = [i / step for i in range(resolution)]
+    u1 = [v.v21 + x * (v.v11 - v.v21) for x in axis]
+    u2 = [v.v12 + x * (v.v22 - v.v12) for x in axis]
+    cells = tuple(tuple(CChoice.C1 if a >= b else CChoice.C2 for b in u2) for a in u1)
     return RegionGrid(resolution=resolution, cells=cells)
 
 

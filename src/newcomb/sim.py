@@ -20,11 +20,10 @@ which makes them bit-identical at any parallelism degree.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from .decision import CChoice, PredictorProfile, SChoice, UtilityMatrix, expected_utilities
 from .errors import EntanglementViolationError, ValidationError
@@ -202,6 +201,10 @@ _CHUNK = 4096
 
 def _count_s1_chunk(seed: int, start: int, stop: int, s1_prob: float) -> int:
     # Vectorized draw 0 of trials [start, stop); matches TrialStream exactly.
+    # numpy is imported here, not at module level, so that importing the
+    # package (and every command but simulate) does not pay for loading it.
+    import numpy as np
+
     idx = np.arange(start, stop, dtype=np.uint64)
     x = np.uint64(seed) + (idx + np.uint64(1)) * np.uint64(_TRIAL_INCREMENT)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -224,7 +227,7 @@ def standard_error(
         raise ValidationError(f"c_choice must be a CChoice, got {c_choice!r}")
     v1, v2 = v.column(c_choice)
     q = p.s1_probability(c_choice)
-    return abs(v1 - v2) * float(np.sqrt(q * (1.0 - q) / n))
+    return abs(v1 - v2) * math.sqrt(q * (1.0 - q) / n)
 
 
 def monte_carlo(
@@ -245,6 +248,10 @@ def monte_carlo(
     _require_count(n, "n")
     _require_count(parallelism, "parallelism")
     _require_count(first_trial, "first_trial", minimum=0)
+    if first_trial + n > 1 << 64:
+        raise ValidationError(
+            f"trial indices must fit in 64 unsigned bits, got first_trial={first_trial}, n={n}"
+        )
     if not isinstance(c_choice, CChoice):
         raise ValidationError(f"c_choice must be a CChoice, got {c_choice!r}")
     if not isinstance(rng, RngSpec):
@@ -267,6 +274,12 @@ def monte_carlo(
 
     v1, v2 = v.column(c_choice)
     empirical_mean = (n_s1 * v1 + (n - n_s1) * v2) / n
+    if not math.isfinite(empirical_mean):
+        # The weighted sum overflowed, but the mean lies between v1 and v2:
+        # evaluate it exactly and round once, which is always finite.
+        from fractions import Fraction
+
+        empirical_mean = float((n_s1 * Fraction(v1) + (n - n_s1) * Fraction(v2)) / n)
     u1, u2 = expected_utilities(v, p)
     return SimulationReport(
         c_choice=c_choice,

@@ -90,11 +90,11 @@ def test_criterion_03_region_landmarks():
 
 def test_criterion_04_perfect_predictor_determinism():
     started = time.perf_counter()
-    one_box = monte_carlo(CLASSIC, PredictorProfile(1, 1), CChoice.C1, 50_000, RngSpec(0))
-    two_box = monte_carlo(CLASSIC, PredictorProfile(1, 1), CChoice.C2, 50_000, RngSpec(0))
+    two_box = monte_carlo(CLASSIC, PredictorProfile(1, 1), CChoice.C1, 50_000, RngSpec(0))
+    one_box = monte_carlo(CLASSIC, PredictorProfile(1, 1), CChoice.C2, 50_000, RngSpec(0))
     elapsed = time.perf_counter() - started
-    assert one_box.empirical_mean == 10_000.0
-    assert two_box.empirical_mean == 1_000_000.0
+    assert two_box.empirical_mean == 10_000.0
+    assert one_box.empirical_mean == 1_000_000.0
     assert elapsed < 1.0
     _report(4, f"N=50000 means exactly (10000, 1000000), {elapsed:.2f} s")
 

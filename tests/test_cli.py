@@ -230,6 +230,42 @@ def test_cli_simulate_deterministic_except_wall_clock(tmp_path):
     assert a == b
 
 
+def test_cli_simulate_prints_strict_json_near_the_float_limit(tmp_path):
+    config = tmp_path / "game.json"
+    config.write_text(
+        '{"utilities": [[1.7e308, 0], [1.7e308, 1.7e308]], "predictor": [0.5, 0.5], "trials": 1000}'
+    )
+    result = run_cli("simulate", "--config", str(config))
+    assert result.returncode == 0, result.stderr
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    doc = json.loads(result.stdout, parse_constant=reject)
+    assert doc["numerical"]["C1"] == 1.7e308  # both outcomes pay 1.7e308
+    assert 0.0 < doc["numerical"]["C2"] < 1.7e308
+
+
+def test_commands_other_than_simulate_never_load_numpy(tmp_path):
+    config = tmp_path / "game.json"
+    config.write_text(CLASSIC_JSON)
+    script = f"""
+import sys
+import newcomb
+from newcomb import cli
+assert "numpy" not in sys.modules, "import newcomb"
+for argv in (
+    ["expected", "--config", {str(config)!r}],
+    ["graph", "--out", {str(tmp_path / "tlg.dot")!r}],
+    ["region", "--config", {str(config)!r}, "--out", {str(tmp_path / "region.csv")!r}],
+):
+    assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv[0]
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_cli_region_bytes_are_reproducible(tmp_path):
     config = tmp_path / "game.json"
     config.write_text(CLASSIC_JSON)

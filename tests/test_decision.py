@@ -228,10 +228,21 @@ def test_region_grid_all_zero_matrix_is_all_c1():
 
 
 def test_region_grid_matches_choose_pointwise():
-    grid = region_grid(CLASSIC, 11)
-    for i in range(11):
-        for j in range(11):
-            assert grid.choice_at(i, j) is choose(CLASSIC, PredictorProfile(i / 10, j / 10))
+    tables = (
+        CLASSIC,
+        UtilityMatrix(0.0, 0.0, 0.0, 0.0),
+        UtilityMatrix(5.0, 5.0, 5.0, 5.0),  # U1 == U2 everywhere
+        UtilityMatrix(1.0, 0.0, 0.0, 1.0),  # U1 == U2 on the diagonal
+        UtilityMatrix(1.7e308, 0.0, 1e308, 1.7976931348623157e308),
+    )
+    for table in tables:
+        for resolution in (2, 3, 11, 401):
+            grid = region_grid(table, resolution)
+            step = resolution - 1
+            for i in range(resolution):
+                for j in range(resolution):
+                    want = choose(table, PredictorProfile(i / step, j / step))
+                    assert grid.choice_at(i, j) is want, (table, resolution, i, j)
 
 
 def test_region_grid_classic_c2_region_is_upward_closed():

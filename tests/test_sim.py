@@ -214,6 +214,23 @@ def test_monte_carlo_rejects_bad_trial_count(n):
         monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, n, RngSpec(0))
 
 
+@pytest.mark.parametrize("first_trial, n", [(1 << 64, 1), ((1 << 64) - 5, 10)])
+def test_monte_carlo_rejects_trial_indices_past_64_bits(first_trial, n):
+    with pytest.raises(ValidationError, match="64"):
+        monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, n, RngSpec(0), first_trial=first_trial)
+
+
+def test_monte_carlo_accepts_the_last_trial_indices():
+    rng = RngSpec(9)
+    first = (1 << 64) - 10
+    report = monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, 10, rng, first_trial=first)
+    utilities = [
+        play_once(CLASSIC, RANDOM_P, CChoice.C1, rng.stream(first + i)).utility
+        for i in range(10)
+    ]
+    assert report.empirical_mean == sum(utilities) / 10
+
+
 def test_monte_carlo_rejects_bad_parallelism_and_rng():
     with pytest.raises(ValidationError):
         monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, 10, RngSpec(0), parallelism=0)
