@@ -14,19 +14,25 @@ S1 when u < P(S=S1|C=Cj).
 
 Randomness is counter-based: trial i of seed s draws from a SplitMix64
 stream indexed by (s, i), so results do not depend on execution order
-or worker count. Batch means are aggregated from exact trial counts,
-which makes them bit-identical at any parallelism degree.
+or worker count. A batch is split into contiguous spans of trial
+indices, at most one per worker, with the workers capped by the cores
+and by the number of kernel chunks. S1 outcomes are counted exactly,
+so the split never changes a result: batch means are bit-identical at
+any parallelism degree.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from .decision import CChoice, PredictorProfile, SChoice, UtilityMatrix, expected_utilities
 from .errors import EntanglementViolationError, ValidationError
+from .tlg import _TIMELINES, Player
 
 __all__ = [
     "OMEGA_ORDER",
@@ -42,7 +48,7 @@ __all__ = [
 ]
 
 # The oracle's visit order over the 7-node game graph.
-OMEGA_ORDER = (1, 3, 5, 2, 6, 7)
+OMEGA_ORDER = _TIMELINES[Player.OMEGA]
 
 _MASK64 = (1 << 64) - 1
 _TRIAL_INCREMENT = 0x9E3779B97F4A7C15  # golden-ratio Weyl step between trials
@@ -194,24 +200,41 @@ def play_once(
     )
 
 
-# Trials per work unit. Fixed independently of the parallelism degree so
-# that chunk boundaries (and therefore results) never depend on it.
-_CHUNK = 4096
+# Trials per kernel pass; it bounds the kernel's buffers (~1.6 MB).
+_CHUNK = 1 << 16
 
 
-def _count_s1_chunk(seed: int, start: int, stop: int, s1_prob: float) -> int:
-    # Vectorized draw 0 of trials [start, stop); matches TrialStream exactly.
+def _count_s1(seed: int, start: int, stop: int, q: float) -> int:
+    # Counts draw 0 of trials [start, stop) below q; matches TrialStream
+    # exactly. A draw is u = (x >> 11) * 2^-53, and for an integer x,
+    # u < q holds iff x < ceil(q * 2^53) << 11. At q >= 1 that threshold
+    # would not fit in 64 bits, but then every draw is below q.
+    if q >= 1.0:
+        return stop - start
     # numpy is imported here, not at module level, so that importing the
     # package (and every command but simulate) does not pay for loading it.
     import numpy as np
 
-    idx = np.arange(start, stop, dtype=np.uint64)
-    x = np.uint64(seed) + (idx + np.uint64(1)) * np.uint64(_TRIAL_INCREMENT)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    x = x ^ (x >> np.uint64(31))
-    u = (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return int(np.count_nonzero(u < s1_prob))
+    threshold = np.uint64(math.ceil(q * 2.0**53) << 11)
+    size = min(_CHUNK, stop - start)
+    steps = np.arange(size, dtype=np.uint64) * np.uint64(_TRIAL_INCREMENT)
+    x = np.empty(size, dtype=np.uint64)
+    tmp = np.empty(size, dtype=np.uint64)
+    below = np.empty(size, dtype=bool)
+    count = 0
+    for lo in range(start, stop, _CHUNK):
+        m = min(_CHUNK, stop - lo)
+        xs, ts = x[:m], tmp[:m]
+        offset = (seed + (lo + 1) * _TRIAL_INCREMENT) & _MASK64
+        np.add(steps[:m], np.uint64(offset), out=xs)
+        for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            np.right_shift(xs, np.uint64(shift), out=ts)
+            xs ^= ts
+            xs *= np.uint64(multiplier)
+        np.right_shift(xs, np.uint64(31), out=ts)
+        xs ^= ts
+        count += int(np.count_nonzero(np.less(xs, threshold, out=below[:m])))
+    return count
 
 
 def standard_error(
@@ -241,9 +264,12 @@ def monte_carlo(
 ) -> SimulationReport:
     """Average the payout of n independent plays with C's choice fixed.
 
-    Trial i uses the stream for index first_trial + i. Work is split
-    into fixed-size chunks and the S1 outcomes are counted exactly, so
-    the reported mean is bit-identical for any parallelism degree.
+    Trial i uses the stream for index first_trial + i. The trials are
+    split into contiguous spans, at most one per worker, with the
+    workers capped by parallelism, the cores and the kernel's chunks.
+    S1 outcomes are counted exactly, so the split never changes a
+    result: the reported mean is bit-identical for any parallelism
+    degree.
     """
     _require_count(n, "n")
     _require_count(parallelism, "parallelism")
@@ -259,18 +285,14 @@ def monte_carlo(
 
     started = time.perf_counter()
     s1_prob = p.s1_probability(c_choice)
-    bounds = [
-        (first_trial + lo, first_trial + min(lo + _CHUNK, n))
-        for lo in range(0, n, _CHUNK)
-    ]
-    if parallelism == 1 or len(bounds) == 1:
-        counts = [_count_s1_chunk(rng.seed, lo, hi, s1_prob) for lo, hi in bounds]
+    workers = min(parallelism, os.cpu_count() or 1, -(-n // _CHUNK))
+    if workers == 1:
+        n_s1 = _count_s1(rng.seed, first_trial, first_trial + n, s1_prob)
     else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            counts = list(
-                pool.map(lambda b: _count_s1_chunk(rng.seed, b[0], b[1], s1_prob), bounds)
-            )
-    n_s1 = sum(counts)
+        edges = [first_trial + n * w // workers for w in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            spans = pool.map(_count_s1, repeat(rng.seed), edges[:-1], edges[1:], repeat(s1_prob))
+            n_s1 = sum(spans)
 
     v1, v2 = v.column(c_choice)
     empirical_mean = (n_s1 * v1 + (n - n_s1) * v2) / n

@@ -375,10 +375,10 @@ def player_timeline(tlg: TLGraph, player: Player) -> Timeline:
     return Timeline(player=player, sequence=_TIMELINES[player])
 
 
-def _chain_skip_allowed(tlg: TLGraph, a: int, b: int) -> bool:
+def _chain_skip_allowed(tlg: TLGraph, originals: set[int], a: int, b: int) -> bool:
     # A walk may fast-forward along base-chain edges (the oracle's jump
-    # into the future); any other non-edge hop is invalid.
-    originals = set(tlg.original_ids())
+    # into the future); any other non-edge hop is invalid. originals is
+    # set(tlg.original_ids()).
     if a not in originals or b not in originals:
         return False
     frontier = deque([a])
@@ -411,8 +411,9 @@ def validate_linearity(timeline: Timeline | Sequence[int], tlg: TLGraph) -> bool
         tlg.node(node_id)
     if not sequence or len(set(sequence)) != len(sequence):
         return False
+    originals = set(tlg.original_ids())
     for a, b in zip(sequence, sequence[1:]):
-        if (a, b) not in tlg.edges and not _chain_skip_allowed(tlg, a, b):
+        if (a, b) not in tlg.edges and not _chain_skip_allowed(tlg, originals, a, b):
             return False
     return True
 
@@ -508,11 +509,6 @@ def detect_twist(
     return twists
 
 
-def _edge_style(tlg: TLGraph, u: int, v: int) -> str:
-    originals = set(tlg.original_ids())
-    return "solid" if u in originals and v in originals else "dashed"
-
-
 def to_dot(tlg: TLGraph) -> str:
     """Render the graph as deterministic DOT text.
 
@@ -521,11 +517,13 @@ def to_dot(tlg: TLGraph) -> str:
     edges that do not constrain the layout. Output bytes are a pure
     function of the graph.
     """
+    originals = set(tlg.original_ids())
     lines = ["digraph tlg {", "  rankdir=LR;"]
     for node in tlg.nodes:
         lines.append(f'  {node.id} [label="{node.id}: {node.kind.value}"];')
     for u, v in sorted(tlg.edges):
-        lines.append(f"  {u} -> {v} [style={_edge_style(tlg, u, v)}];")
+        style = "solid" if u in originals and v in originals else "dashed"
+        lines.append(f"  {u} -> {v} [style={style}];")
     for cls in tlg.nontrivial_classes:
         members = sorted(cls)
         for a, b in zip(members, members[1:]):

@@ -9,7 +9,6 @@ PASS line with the measured values. The module also runs standalone:
 import itertools
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -60,8 +59,9 @@ def test_criterion_02_boundary_reproduction():
     boundary = decision_boundary(CLASSIC)
     assert (boundary.a1, boundary.a2, boundary.b) == (-1e6, -1e6, -1.01e6)
 
-    # exact-rational equivalence of the affine form to p1 + p2 <= 1.01
-    a1, a2, b = (Fraction(int(x)) for x in (boundary.a1, boundary.a2, boundary.b))
+    # exact equivalence of the affine form to p1 + p2 <= 1.01, multiplied
+    # through by 200 so that it stays in integers
+    a1, a2, b = (int(x) for x in (boundary.a1, boundary.a2, boundary.b))
     mismatches = 0
     for i in range(201):
         for j in range(201):
@@ -69,8 +69,8 @@ def test_criterion_02_boundary_reproduction():
             affine = boundary.prefers_c1(p1, p2)
             if affine != (choose(CLASSIC, PredictorProfile(p1, p2)) is CChoice.C1):
                 mismatches += 1
-            exact = a1 * Fraction(i, 200) + a2 * Fraction(j, 200) >= b
-            line = Fraction(i, 200) + Fraction(j, 200) <= Fraction(101, 100)
+            exact = a1 * i + a2 * j >= 200 * b
+            line = i + j <= 202
             if exact != line:
                 mismatches += 1
     elapsed = time.perf_counter() - started

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from newcomb import sim
 from newcomb import (
     CChoice,
     EntanglementViolationError,
@@ -170,13 +171,18 @@ def test_monte_carlo_single_trial_equals_that_play():
 
 
 def test_monte_carlo_matches_scalar_replay():
-    for n in (1, 3, 20, 2_500, 5_000):
-        rng = RngSpec(5)
-        report = monte_carlo(CLASSIC, PredictorProfile(0.25, 0.6), CChoice.C2, n, rng)
-        utilities = [
-            play_once(CLASSIC, PredictorProfile(0.25, 0.6), CChoice.C2, rng.stream(i)).utility
-            for i in range(n)
-        ]
+    profile = PredictorProfile(0.25, 0.6)
+    # (n, first_trial, profile, choice); C1 draws S1 with probability p1
+    cases = [(n, 0, profile, CChoice.C2) for n in (1, 3, 20, 2_500, 5_000)]
+    cases += [
+        (2_000, 0, PredictorProfile(q, 0.5), CChoice.C1)
+        for q in (0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0)
+    ]
+    cases.append((3_000, (1 << 64) - 3_000, profile, CChoice.C2))  # the Weyl offset wraps
+    rng = RngSpec(5)
+    for n, first, p, c in cases:
+        report = monte_carlo(CLASSIC, p, c, n, rng, first_trial=first)
+        utilities = [play_once(CLASSIC, p, c, rng.stream(first + i)).utility for i in range(n)]
         assert report.empirical_mean == sum(utilities) / n
 
 
@@ -190,12 +196,24 @@ def test_monte_carlo_respects_first_trial_offset():
     assert shifted.empirical_mean == sum(utilities) / 100
 
 
-def test_monte_carlo_parallelism_is_bit_identical():
-    for n in (1, 4_096, 4_097, 50_000):
-        base = monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, n, RngSpec(13), parallelism=1)
-        for workers in (2, 8):
-            run = monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, n, RngSpec(13), parallelism=workers)
-            assert run.empirical_mean == base.empirical_mean
+def test_monte_carlo_parallelism_is_bit_identical(monkeypatch):
+    # the last two sizes span several kernel chunks and split unevenly;
+    # the perfect predictor makes a lost or repeated trial change the mean
+    for n in (1, 4_096, 4_097, 50_000, 3 * sim._CHUNK + 1, 5 * sim._CHUNK - 7):
+        for p in (RANDOM_P, PERFECT_P):
+            base = monte_carlo(CLASSIC, p, CChoice.C1, n, RngSpec(13), parallelism=1)
+            for workers in (2, 8):
+                run = monte_carlo(CLASSIC, p, CChoice.C1, n, RngSpec(13), parallelism=workers)
+                assert run.empirical_mean == base.empirical_mean
+
+    # a degree far beyond the cores and chunks is capped to one serial span
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single-chunk batch started a thread pool")
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
+    base = monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, 1_000, RngSpec(13), parallelism=1)
+    run = monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, 1_000, RngSpec(13), parallelism=10**6)
+    assert run.empirical_mean == base.empirical_mean
 
 
 def test_monte_carlo_report_fields():
