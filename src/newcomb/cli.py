@@ -78,7 +78,10 @@ class GameConfig:
 def _require_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be finite, got an integer too large for a float") from None
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return x
@@ -106,6 +109,10 @@ def parse_config(text: str) -> GameConfig:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer literal past the int-to-str digit limit
+        raise ConfigError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError("invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
     unknown = sorted(set(raw) - set(_CONFIG_KEYS))
@@ -221,6 +228,8 @@ def _load_config(args: argparse.Namespace) -> GameConfig:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {args.config} is not UTF-8: {exc}") from None
     config = parse_config(text)
     overrides = {}
     if getattr(args, "seed", None) is not None:

@@ -62,10 +62,17 @@ class SChoice(Enum):
     S2 = "S2"
 
 
+def _to_float(value: int | float, name: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be finite, got an integer too large for a float") from None
+
+
 def _require_utility(value: float, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    x = float(value)
+    x = _to_float(value, name)
     if not math.isfinite(x):
         raise ValidationError(f"{name} must be finite, got {x}")
     if x < 0.0:
@@ -76,7 +83,7 @@ def _require_utility(value: float, name: str) -> float:
 def _require_probability(value: float, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    x = float(value)
+    x = _to_float(value, name)
     if not math.isfinite(x) or x < 0.0 or x > 1.0:
         raise ValidationError(f"{name} must be in [0, 1], got {value!r}")
     return x

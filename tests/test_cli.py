@@ -1,11 +1,13 @@
 """Tests for the command-line front end and its file formats."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import newcomb
 from newcomb import ConfigError, UtilityMatrix, PredictorProfile
 from newcomb.cli import (
     GameConfig,
@@ -18,6 +20,13 @@ from newcomb.cli import (
 
 CLASSIC_JSON = '{"utilities": [[10000, 0], [1010000, 1000000]], "predictor": [0.5, 0.5]}'
 
+# Child interpreters import the package from the same source tree as this one.
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(newcomb.__file__)))
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))),
+}
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -25,6 +34,7 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=CHILD_ENV,
     )
 
 
@@ -262,7 +272,9 @@ for argv in (
     assert cli.main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv[0]
 """
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+    )
     assert result.returncode == 0, result.stderr
 
 
@@ -288,6 +300,34 @@ def test_cli_validation_error_exits_2(tmp_path):
     result = run_cli("expected", "--config", str(config))
     assert result.returncode == 2
     assert "predictor[0]" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "config_bytes",
+    [
+        pytest.param(
+            b'{"utilities": [[1' + b"0" * 400 + b', 0], [1, 1]], "predictor": [0.5, 0.5]}',
+            id="utility-too-large-for-a-float",
+        ),
+        pytest.param(
+            b'{"utilities": [[1, 0], [1, 1]], "predictor": [1' + b"0" * 400 + b', 0.5]}',
+            id="probability-too-large-for-a-float",
+        ),
+        pytest.param(
+            b'{"utilities": [[1' + b"0" * 5000 + b', 0], [1, 1]], "predictor": [0.5, 0.5]}',
+            id="integer-past-the-digit-limit",
+        ),
+        pytest.param(b'\xff\xfe{"utilities": []}', id="not-utf-8"),
+        pytest.param(b"[" * 100_000, id="nested-100000-deep"),
+    ],
+)
+def test_cli_malformed_config_exits_2_without_traceback(tmp_path, config_bytes):
+    config = tmp_path / "bad.json"
+    config.write_bytes(config_bytes)
+    result = run_cli("expected", "--config", str(config))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_cli_missing_config_file_exits_2(tmp_path):

@@ -78,6 +78,13 @@ def test_utility_validation(bad):
         UtilityMatrix(bad, 0.0, 1.0, 2.0)
 
 
+def test_integers_too_large_for_a_float_raise_validation_error():
+    with pytest.raises(ValidationError, match="v11"):
+        UtilityMatrix(10**400, 0.0, 1.0, 2.0)
+    with pytest.raises(ValidationError, match="p2"):
+        PredictorProfile(0.5, 10**5000)
+
+
 def test_payoff_lookup():
     assert CLASSIC.payoff(SChoice.S1, CChoice.C1) == 10_000.0
     assert CLASSIC.payoff(SChoice.S1, CChoice.C2) == 0.0

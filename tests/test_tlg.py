@@ -324,6 +324,57 @@ def test_closure_matches_brute_force_oracle():
         assert set(closed.entanglement) == brute_force_closure(g)
 
 
+_CLOSURE_KINDS = (EventKind.GENERIC, EventKind.C_CHOICE, EventKind.OUTCOME)
+
+
+@st.composite
+def small_entangled_graphs(draw):
+    """Graphs of 1-14 nodes, 1-3 kinds, free out-degree, same-kind seed pairs."""
+    n = draw(st.integers(1, 14))
+    kinds = draw(st.lists(st.sampled_from(_CLOSURE_KINDS[: draw(st.integers(1, 3))]),
+                          min_size=n, max_size=n))
+    ids = st.integers(1, n)
+    edges = draw(st.sets(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
+                         max_size=3 * n))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=4))
+    return TLGraph.build(
+        [EventNode(i + 1, kind) for i, kind in enumerate(kinds)],
+        edges,
+        [(a, b) for a, b in pairs if kinds[a - 1] is kinds[b - 1]],
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(g=small_entangled_graphs())
+def test_closure_matches_brute_force_on_random_graphs(g):
+    assert set(entanglement_closure(g).entanglement) == brute_force_closure(g)
+
+
+def _generic_graph(n, edges, pairs):
+    return TLGraph.build([EventNode(i, EventKind.GENERIC) for i in range(1, n + 1)],
+                         edges, pairs)
+
+
+def test_closure_keeps_a_lone_nodes_successors_apart():
+    g = _generic_graph(3, [(1, 2), (1, 3)], [])
+    assert entanglement_closure(g).nontrivial_classes == ()
+    assert brute_force_closure(g) == set(g.entanglement)
+
+
+def test_closure_merges_successors_from_two_members():
+    # a = 1 has successors 3 and 4, b = 2 has 5; all three merge
+    g = _generic_graph(5, [(1, 3), (1, 4), (2, 5)], [(1, 2)])
+    closed = entanglement_closure(g)
+    assert set(closed.nontrivial_classes) == {frozenset({1, 2}), frozenset({3, 4, 5})}
+    assert set(closed.entanglement) == brute_force_closure(g)
+
+
+def test_closure_adds_nothing_for_one_shared_successor():
+    g = _generic_graph(3, [(1, 3), (2, 3)], [(1, 2)])
+    assert entanglement_closure(g) == g
+    assert brute_force_closure(g) == set(g.entanglement)
+
+
 def test_closure_partition_laws():
     g = entanglement_closure(game_graph().with_entanglement([(3, 6)]))
     ids = {n.id for n in g.nodes}
