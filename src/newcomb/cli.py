@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
+from ._validate import check_int, check_number, check_type
 from .decision import (
     PredictorProfile,
     UtilityMatrix,
@@ -26,8 +26,8 @@ from .decision import (
     expected_utilities,
     region_grid,
 )
-from .errors import ConfigError, NewcombError
-from .sim import RngSpec, compare
+from .errors import ConfigError, NewcombError, ValidationError
+from .sim import _MASK64, RngSpec, compare
 from .tlg import base_chain, game_graph, to_dot
 
 __all__ = [
@@ -43,23 +43,28 @@ __all__ = [
 DEFAULT_TRIALS = 50_000
 DEFAULT_RESOLUTION = 101
 
-_CONFIG_KEYS = ("utilities", "predictor", "trials", "seed", "resolution", "parallelism")
-
 
 @dataclass(frozen=True)
 class GameConfig:
-    """A fully validated run configuration with defaults applied."""
+    """A run configuration; every instance, replaced ones included, is valid.
+
+    parallelism defaults to the machine's logical cores.
+    """
 
     utilities: UtilityMatrix
     predictor: PredictorProfile
     trials: int = DEFAULT_TRIALS
     seed: int = 0
     resolution: int = DEFAULT_RESOLUTION
-    parallelism: int = 0  # 0 means "use the machine's logical cores"
+    parallelism: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def __post_init__(self) -> None:
-        if self.parallelism == 0:
-            object.__setattr__(self, "parallelism", os.cpu_count() or 1)
+        check_type(self.utilities, "utilities", UtilityMatrix)
+        check_type(self.predictor, "predictor", PredictorProfile)
+        check_int(self.trials, "trials", 1)
+        check_int(self.seed, "seed", 0, _MASK64)
+        check_int(self.resolution, "resolution", 2)
+        check_int(self.parallelism, "parallelism", 1)
 
     def to_dict(self) -> dict:
         return {
@@ -73,28 +78,6 @@ class GameConfig:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
-
-
-def _require_number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        raise ConfigError(f"{name} must be finite, got an integer too large for a float") from None
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return x
-
-
-def _require_int(value, name: str, minimum: int, maximum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{name} must be <= {maximum}, got {value}")
-    return value
 
 
 def parse_config(text: str) -> GameConfig:
@@ -115,7 +98,7 @@ def parse_config(text: str) -> GameConfig:
         raise ConfigError("invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
-    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    unknown = sorted(set(raw) - {f.name for f in fields(GameConfig)})
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
     if "utilities" not in raw:
@@ -123,35 +106,26 @@ def parse_config(text: str) -> GameConfig:
     if "predictor" not in raw:
         raise ConfigError("predictor required")
 
-    utilities = raw["utilities"]
+    utilities = raw.pop("utilities")
     if (
         not isinstance(utilities, list)
         or len(utilities) != 2
         or any(not isinstance(row, list) or len(row) != 2 for row in utilities)
     ):
         raise ConfigError("utilities must be a 2x2 array [[v11, v12], [v21, v22]]")
-    for i, row in enumerate(utilities):
-        for j, entry in enumerate(row):
-            value = _require_number(entry, f"utilities[{i}][{j}]")
-            if value < 0.0:
-                raise ConfigError(f"utilities[{i}][{j}] must be >= 0, got {entry!r}")
-
-    predictor = raw["predictor"]
+    predictor = raw.pop("predictor")
     if not isinstance(predictor, list) or len(predictor) != 2:
         raise ConfigError("predictor must be an array [p1, p2]")
-    for idx, entry in enumerate(predictor):
-        value = _require_number(entry, f"predictor[{idx}]")
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"predictor[{idx}] must be in [0, 1], got {entry!r}")
 
-    return GameConfig(
-        utilities=UtilityMatrix.from_rows(utilities),
-        predictor=PredictorProfile(predictor[0], predictor[1]),
-        trials=_require_int(raw.get("trials", DEFAULT_TRIALS), "trials", 1),
-        seed=_require_int(raw.get("seed", 0), "seed", 0, (1 << 64) - 1),
-        resolution=_require_int(raw.get("resolution", DEFAULT_RESOLUTION), "resolution", 2),
-        parallelism=_require_int(raw.get("parallelism", os.cpu_count() or 1), "parallelism", 1),
-    )
+    try:
+        rows = [
+            [check_number(x, f"utilities[{i}][{j}]", minimum=0) for j, x in enumerate(row)]
+            for i, row in enumerate(utilities)
+        ]
+        accuracies = [check_number(x, f"predictor[{i}]", 0, 1) for i, x in enumerate(predictor)]
+        return GameConfig(UtilityMatrix.from_rows(rows), PredictorProfile(*accuracies), **raw)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _format_probability(x: float) -> str:
@@ -230,21 +204,12 @@ def _load_config(args: argparse.Namespace) -> GameConfig:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {args.config} is not UTF-8: {exc}") from None
-    config = parse_config(text)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = _require_int(args.seed, "seed", 0, (1 << 64) - 1)
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = _require_int(args.trials, "trials", 1)
-    if getattr(args, "resolution", None) is not None:
-        overrides["resolution"] = _require_int(args.resolution, "resolution", 2)
-    if getattr(args, "parallelism", None) is not None:
-        overrides["parallelism"] = _require_int(args.parallelism, "parallelism", 1)
-    if overrides:
-        merged = config.to_dict()
-        merged.update(overrides)
-        config = parse_config(json.dumps(merged))
-    return config
+    overrides = {
+        name: getattr(args, name)
+        for name in ("seed", "trials", "resolution", "parallelism")
+        if getattr(args, name) is not None
+    }
+    return replace(parse_config(text), **overrides)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -27,10 +27,10 @@ Everything here is a pure function of its inputs; all values are
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
+from ._validate import check_int, check_number
 from .errors import ValidationError
 
 __all__ = [
@@ -62,33 +62,6 @@ class SChoice(Enum):
     S2 = "S2"
 
 
-def _to_float(value: int | float, name: str) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{name} must be finite, got an integer too large for a float") from None
-
-
-def _require_utility(value: float, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    x = _to_float(value, name)
-    if not math.isfinite(x):
-        raise ValidationError(f"{name} must be finite, got {x}")
-    if x < 0.0:
-        raise ValidationError(f"{name} must be >= 0, got {x}")
-    return x
-
-
-def _require_probability(value: float, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    x = _to_float(value, name)
-    if not math.isfinite(x) or x < 0.0 or x > 1.0:
-        raise ValidationError(f"{name} must be in [0, 1], got {value!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class UtilityMatrix:
     """C's payoff table in euros; rows are S's choice, columns are C's.
@@ -104,7 +77,7 @@ class UtilityMatrix:
 
     def __post_init__(self) -> None:
         for name in ("v11", "v12", "v21", "v22"):
-            object.__setattr__(self, name, _require_utility(getattr(self, name), name))
+            object.__setattr__(self, name, check_number(getattr(self, name), name, minimum=0))
 
     @classmethod
     def classic(cls) -> "UtilityMatrix":
@@ -148,8 +121,8 @@ class PredictorProfile:
     p2: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p1", _require_probability(self.p1, "p1"))
-        object.__setattr__(self, "p2", _require_probability(self.p2, "p2"))
+        for name in ("p1", "p2"):
+            object.__setattr__(self, name, check_number(getattr(self, name), name, 0, 1))
 
     @classmethod
     def perfect(cls) -> "PredictorProfile":
@@ -233,10 +206,7 @@ def region_grid(v: UtilityMatrix, resolution: int = 101) -> RegionGrid:
     vectors, each computed with the same float operations as
     expected_utilities().
     """
-    if isinstance(resolution, bool) or not isinstance(resolution, int):
-        raise ValidationError(f"resolution must be an integer, got {resolution!r}")
-    if resolution < 2:
-        raise ValidationError(f"resolution must be >= 2, got {resolution}")
+    check_int(resolution, "resolution", 2)
     step = resolution - 1
     axis = [i / step for i in range(resolution)]
     u1 = [v.v21 + x * (v.v11 - v.v21) for x in axis]

@@ -30,6 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
+from ._validate import check_int, check_number, check_type
 from .decision import CChoice, PredictorProfile, SChoice, UtilityMatrix, expected_utilities
 from .errors import EntanglementViolationError, ValidationError
 from .tlg import _TIMELINES, Player
@@ -63,27 +64,13 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _require_seed(seed: int) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    if not (0 <= seed < 1 << 64):
-        raise ValidationError(f"seed must fit in 64 unsigned bits, got {seed}")
-    return seed
-
-
-def _require_count(value: int, name: str, minimum: int = 1) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
 class TrialStream:
     """Uniform [0,1) draws for one trial, derived from (seed, trial)."""
 
     def __init__(self, seed: int, trial: int):
-        self._base = (_require_seed(seed) + (trial + 1) * _TRIAL_INCREMENT) & _MASK64
+        check_int(seed, "seed", 0, _MASK64)
+        check_int(trial, "trial", 0, _MASK64)
+        self._base = (seed + (trial + 1) * _TRIAL_INCREMENT) & _MASK64
         self._draw = 0
 
     def uniform(self) -> float:
@@ -99,7 +86,7 @@ class RngSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", _require_seed(self.seed))
+        check_int(self.seed, "seed", 0, _MASK64)
 
     def stream(self, trial: int) -> TrialStream:
         return TrialStream(self.seed, trial)
@@ -151,9 +138,8 @@ class SimulationReport:
     elapsed_seconds: float
 
     def __post_init__(self) -> None:
-        _require_count(self.trials, "trials")
-        if self.standard_error < 0.0:
-            raise ValidationError("standard error cannot be negative")
+        check_int(self.trials, "trials", 1)
+        check_number(self.standard_error, "standard_error", minimum=0)
 
 
 @dataclass(frozen=True)
@@ -184,8 +170,7 @@ def play_once(
     fallibility shows up in S's response, which follows the predicted
     row only with the profiled accuracy.
     """
-    if not isinstance(c_choice, CChoice):
-        raise ValidationError(f"c_choice must be a CChoice, got {c_choice!r}")
+    check_type(c_choice, "c_choice", CChoice)
     prediction = c_choice
     s1_prob = p.s1_probability(c_choice)
     s_choice = SChoice.S1 if trial_stream.uniform() < s1_prob else SChoice.S2
@@ -245,9 +230,8 @@ def standard_error(
     The per-trial utility is two-valued, so the mean's standard error
     is |v1j - v2j| * sqrt(q * (1 - q) / n) with q = P(S=S1|C=Cj).
     """
-    _require_count(n, "n")
-    if not isinstance(c_choice, CChoice):
-        raise ValidationError(f"c_choice must be a CChoice, got {c_choice!r}")
+    check_int(n, "n", 1)
+    check_type(c_choice, "c_choice", CChoice)
     v1, v2 = v.column(c_choice)
     q = p.s1_probability(c_choice)
     return abs(v1 - v2) * math.sqrt(q * (1.0 - q) / n)
@@ -271,17 +255,15 @@ def monte_carlo(
     result: the reported mean is bit-identical for any parallelism
     degree.
     """
-    _require_count(n, "n")
-    _require_count(parallelism, "parallelism")
-    _require_count(first_trial, "first_trial", minimum=0)
+    check_int(n, "n", 1)
+    check_int(parallelism, "parallelism", 1)
+    check_int(first_trial, "first_trial", 0)
     if first_trial + n > 1 << 64:
         raise ValidationError(
             f"trial indices must fit in 64 unsigned bits, got first_trial={first_trial}, n={n}"
         )
-    if not isinstance(c_choice, CChoice):
-        raise ValidationError(f"c_choice must be a CChoice, got {c_choice!r}")
-    if not isinstance(rng, RngSpec):
-        raise ValidationError(f"rng must be an RngSpec, got {rng!r}")
+    check_type(c_choice, "c_choice", CChoice)
+    check_type(rng, "rng", RngSpec)
 
     started = time.perf_counter()
     s1_prob = p.s1_probability(c_choice)

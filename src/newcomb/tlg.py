@@ -32,6 +32,7 @@ from enum import Enum
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
+from ._validate import check_int, check_type
 from .errors import GraphStructureError, UnsupportedGraphError, ValidationError
 
 __all__ = [
@@ -90,10 +91,10 @@ class EventNode:
     copy_of: int | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.id, bool) or not isinstance(self.id, int) or self.id < 1:
-            raise ValidationError(f"node id must be a positive integer, got {self.id!r}")
-        if not isinstance(self.kind, EventKind):
-            raise ValidationError(f"node kind must be an EventKind, got {self.kind!r}")
+        check_int(self.id, "node id", 1)
+        check_type(self.kind, "node kind", EventKind)
+        if self.copy_of is not None:
+            check_int(self.copy_of, "copy_of", 1)
 
 
 class _DisjointSet:
@@ -154,7 +155,11 @@ class TLGraph:
                     raise ValidationError(
                         f"copy {node.id} must share its original's kind"
                     )
-        for u, v in self.edges:
+        for edge in self.edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValidationError(f"edge {edge!r} must be a pair (u, v)") from None
             if u not in id_set or v not in id_set:
                 raise ValidationError(f"edge ({u}, {v}) references unknown node")
             if u == v:
@@ -189,7 +194,11 @@ class TLGraph:
         """Construct a graph, merging the given pairs into the partition."""
         nodes = tuple(nodes)
         ds = _DisjointSet(n.id for n in nodes)
-        for a, b in entangled_pairs:
+        for pair in entangled_pairs:
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                raise ValidationError(f"entangled pair {pair!r} must be a pair (a, b)") from None
             if a not in ds.parent or b not in ds.parent:
                 raise ValidationError(f"entangled pair ({a}, {b}) references unknown node")
             ds.union(a, b)
@@ -273,10 +282,8 @@ class UnfoldSpec:
 
     def __post_init__(self) -> None:
         for name in ("n", "k", "m"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if not (1 <= self.k < self.m <= self.n):
+            check_int(getattr(self, name), name, 1)
+        if not self.k < self.m <= self.n:
             raise ValidationError(
                 f"need 1 <= k < m <= n, got n={self.n}, k={self.k}, m={self.m}"
             )
@@ -291,10 +298,7 @@ def base_chain(n: int) -> TLGraph:
     A length-4 chain gets the game's event kinds; any other length is
     a generic action list.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValidationError(f"chain length must be an integer, got {n!r}")
-    if n < 1:
-        raise ValidationError(f"chain length must be >= 1, got {n}")
+    check_int(n, "chain length", 1)
     kinds = _GAME_CHAIN_KINDS if n == 4 else (EventKind.GENERIC,) * n
     nodes = tuple(EventNode(id=i + 1, kind=kinds[i]) for i in range(n))
     edges = tuple((i, i + 1) for i in range(1, n))
@@ -324,8 +328,7 @@ def unfold(chain: TLGraph, spec: UnfoldSpec) -> TLGraph:
     consequences of the copies are entangled with their counterparts
     as well.
     """
-    if not isinstance(spec, UnfoldSpec):
-        raise ValidationError(f"spec must be an UnfoldSpec, got {spec!r}")
+    check_type(spec, "spec", UnfoldSpec)
     _require_chain(chain, spec.n)
     n, k, m = spec.n, spec.k, spec.m
 
@@ -376,8 +379,7 @@ def player_timeline(tlg: TLGraph, player: Player) -> Timeline:
     back, and then rides the copies. Only the standard game graph is
     supported.
     """
-    if not isinstance(player, Player):
-        raise ValidationError(f"unknown player {player!r}")
+    check_type(player, "player", Player)
     if (tlg.nodes, tlg.edges) != _game_shape():
         raise UnsupportedGraphError(
             "timelines are only defined for the standard game graph"

@@ -1,19 +1,24 @@
 """Tests for the command-line front end and its file formats."""
 
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import newcomb
-from newcomb import ConfigError, UtilityMatrix, PredictorProfile
+from newcomb import ConfigError, PredictorProfile, UtilityMatrix, ValidationError
 from newcomb.cli import (
     GameConfig,
     cmd_expected,
     cmd_graph,
     cmd_simulate,
+    main,
     parse_config,
     render_region_csv,
 )
@@ -36,6 +41,15 @@ def run_cli(*args, cwd=None):
         cwd=cwd,
         env=CHILD_ENV,
     )
+
+
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 # ── parse_config ───────────────────────────────────────────────────
@@ -92,6 +106,24 @@ def test_parse_config_field_validation(fragment):
     base.update(override)
     with pytest.raises(ConfigError):
         parse_config(json.dumps(base))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("trials", 0),
+        ("seed", -1),
+        ("seed", 1 << 64),
+        ("resolution", 1),
+        ("parallelism", 0),
+        ("parallelism", True),
+    ],
+)
+def test_game_config_validates_itself(field, value):
+    with pytest.raises(ValidationError, match=field):
+        GameConfig(UtilityMatrix.classic(), PredictorProfile(0.5, 0.5), **{field: value})
+    with pytest.raises(ValidationError, match=field):
+        dataclasses.replace(parse_config(CLASSIC_JSON), **{field: value})
 
 
 def test_config_round_trips_through_json():
@@ -247,11 +279,7 @@ def test_cli_simulate_prints_strict_json_near_the_float_limit(tmp_path):
     )
     result = run_cli("simulate", "--config", str(config))
     assert result.returncode == 0, result.stderr
-
-    def reject(constant):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
-    doc = json.loads(result.stdout, parse_constant=reject)
+    doc = strict_json(result.stdout)
     assert doc["numerical"]["C1"] == 1.7e308  # both outcomes pay 1.7e308
     assert 0.0 < doc["numerical"]["C2"] < 1.7e308
 
@@ -360,6 +388,120 @@ def test_cli_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0
     assert "newcomb" in result.stdout
+
+
+# ── fuzz property ──────────────────────────────────────────────────
+
+_PAST_64_BITS = st.integers(min_value=(1 << 64) + 1, max_value=1 << 80)
+_WRONG_TYPES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.floats(),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_BAD_INTS = st.one_of(st.integers(max_value=-1), st.just(0), _PAST_64_BITS, _WRONG_TYPES)
+_BAD_NUMBERS = st.one_of(_BAD_INTS, st.floats(max_value=-1e-300), st.just(10**400))
+
+
+def _mostly(valid, invalid, one_in):
+    """Draws from invalid about once in one_in draws, otherwise from valid."""
+    return st.sampled_from(range(one_in)).flatmap(lambda i: invalid if i == one_in - 1 else valid)
+
+
+def _array(leaf, shape):
+    """An array of leaves of the given shape, now and then of another shape."""
+    exact = st.lists(leaf, min_size=shape[-1], max_size=shape[-1])
+    if len(shape) == 2:
+        exact = st.lists(exact, min_size=shape[0], max_size=shape[0])
+    return _mostly(exact, st.one_of(st.lists(leaf, max_size=3), leaf), 8)
+
+
+# Valid trials stay <= 10**4 and valid resolutions <= 64 so every run is
+# quick; a trial count past 2**64 is rejected before any trial runs.
+_CONFIG_VALUES = {
+    "utilities": _array(
+        _mostly(st.one_of(st.floats(0, sys.float_info.max), st.integers(0, 10**7)), _BAD_NUMBERS, 16),
+        (2, 2),
+    ),
+    "predictor": _array(_mostly(st.one_of(st.floats(0, 1), st.integers(0, 1)), _BAD_NUMBERS, 16), (2,)),
+    "trials": _mostly(st.integers(1, 10**4), _BAD_INTS, 8),
+    "seed": _mostly(st.integers(0, (1 << 64) - 1), _BAD_INTS, 8),
+    "resolution": _mostly(st.integers(2, 64), _BAD_INTS, 8),
+    "parallelism": _mostly(st.integers(1, 8), _BAD_INTS, 8),
+}
+_OVERRIDE_VALUES = {
+    "trials": st.integers(-3, 10**4),
+    "seed": st.one_of(st.integers(-3, (1 << 64) - 1), _PAST_64_BITS),
+    "resolution": st.integers(-3, 64),
+    "parallelism": st.one_of(st.integers(-3, 8), _PAST_64_BITS),
+}
+
+
+@st.composite
+def _config_documents(draw):
+    required = ("utilities", "predictor")
+    document = {
+        key: draw(values)
+        for key, values in _CONFIG_VALUES.items()
+        if draw(_mostly(st.just(key in required), st.just(key not in required), 8))
+    }
+    document.update(draw(_mostly(st.just({}), st.dictionaries(st.text(max_size=4), st.integers()), 8)))
+    return draw(_mostly(st.just(document), _WRONG_TYPES, 16))
+
+
+@st.composite
+def _argvs(draw, config_path, out_dir):
+    command = draw(st.sampled_from(["expected", "region", "graph", "simulate"]))
+    argv = [command]
+    if draw(_mostly(st.just(command != "graph"), st.just(command == "graph"), 8)):
+        config = _mostly(st.just(config_path), st.just(config_path + ".missing"), 8)
+        argv += ["--config", draw(config)]
+    if command in ("region", "graph"):
+        # None leaves --out out; the directory itself cannot be opened for writing
+        out = draw(_mostly(st.just(os.path.join(out_dir, "out.txt")), st.sampled_from([out_dir, None]), 8))
+        argv += ["--out", out] if out is not None else []
+    if command == "graph" and draw(st.booleans()):
+        argv.append("--base-chain-only")
+    for flag, values in _OVERRIDE_VALUES.items():
+        if draw(_mostly(st.just(False), st.just(True), 4)):
+            value = _mostly(values.map(str), st.sampled_from(["", "x", "1.5"]), 8)
+            argv += [f"--{flag}", draw(value)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz"))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_main_on_arbitrary_configs_and_argv(fuzz_dir, data):
+    config_path = os.path.join(fuzz_dir, "game.json")
+    document = data.draw(_config_documents(), label="config")
+    argv = data.draw(_argvs(config_path, fuzz_dir), label="argv")
+    # A resolution past 2**64 is valid, and region would build a grid that size.
+    # Overrides stay <= 64, so only the configured value can be that large.
+    resolution = document.get("resolution") if isinstance(document, dict) else None
+    huge = type(resolution) is int and resolution > 64
+    assume(argv[0] != "region" or "--resolution" in argv or not huge)
+    with open(config_path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(document))
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+    except SystemExit as exc:  # argparse usage error
+        assert exc.code == 2, (argv, stderr.getvalue())
+        return
+    assert code in (0, 2, 3), (argv, code)
+    if stdout.getvalue():
+        strict_json(stdout.getvalue())
+    if code != 0:
+        assert stderr.getvalue().startswith("error: "), (argv, stderr.getvalue())
 
 
 def test_default_parallelism_uses_machine_cores():

@@ -79,6 +79,13 @@ def test_rng_spec_rejects_bad_seed(bad):
         RngSpec(bad)
 
 
+@pytest.mark.parametrize("trial", [1 << 64, -1, 1.5])
+def test_stream_rejects_trial_indices_outside_64_bits(trial):
+    # 2**64 would wrap onto trial 0's draws
+    with pytest.raises(ValidationError, match="trial"):
+        RngSpec(3).stream(trial)
+
+
 # ── play_once ──────────────────────────────────────────────────────
 
 

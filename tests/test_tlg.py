@@ -213,6 +213,28 @@ def test_graph_rejects_copy_with_different_kind():
         TLGraph.build(nodes, [])
 
 
+_TWO_NODES = [EventNode(1, EventKind.GENERIC), EventNode(2, EventKind.GENERIC)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: EventNode(2, EventKind.GENERIC, copy_of=[]), id="copy_of-list"),
+        pytest.param(lambda: EventNode(2, EventKind.GENERIC, copy_of=1.0), id="copy_of-float"),
+        pytest.param(lambda: EventNode(2, EventKind.GENERIC, copy_of=0), id="copy_of-zero"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [(1,)]), id="edge-of-one"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [(1, 2, 3)]), id="edge-of-three"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [(1,)]), id="pair-of-one"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [(1, 2, 3)]), id="pair-of-three"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [5]), id="edge-not-a-sequence"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [5]), id="pair-not-a-sequence"),
+    ],
+)
+def test_malformed_graph_input_raises_validation_error(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
 # ── player_timeline ────────────────────────────────────────────────
 
 
