@@ -15,6 +15,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
+from typing import Iterable, Iterator
 
 from . import __version__
 from ._validate import check_int, check_number, check_type
@@ -147,25 +149,38 @@ def cmd_expected(config: GameConfig) -> dict:
     }
 
 
-def render_region_csv(config: GameConfig) -> str:
-    """CSV text of the decision region grid, p1 outer and ascending."""
+def _region_lines(config: GameConfig) -> Iterator[str]:
+    # The grid and the axis suffixes are built here, before the first
+    # line is asked for, so every check runs before a caller opens a file.
+    # Each row is then one join of preformatted ",p2,C1\n" / ",p2,C2\n"
+    # suffixes separated by the row's p1 label, made only when iterated.
     grid = region_grid(config.utilities, config.resolution)
     labels = [_format_probability(grid.axis_value(i)) for i in range(grid.resolution)]
-    lines = ["p1,p2,choice"]
-    for p1, row in zip(labels, grid.cells):
-        lines.extend(f"{p1},{p2},{cell.value}" for p2, cell in zip(labels, row))
-    return "\n".join(lines) + "\n"
+    c1 = [f",{p2},C1\n" for p2 in labels]
+    c2 = [f",{p2},C2\n" for p2 in labels]
+    rows = (
+        p1 + p1.join(c2[:lo] + c1[lo:hi] + c2[hi:])
+        for p1, (lo, hi) in zip(labels, grid.c1_spans)
+    )
+    return chain(("p1,p2,choice\n",), rows)
+
+
+def render_region_csv(config: GameConfig) -> str:
+    """CSV text of the decision region grid, p1 outer and ascending."""
+    return "".join(_region_lines(config))
 
 
 def cmd_region(config: GameConfig, out_path: str) -> None:
-    """Write the decision-region CSV to a file."""
-    _write_text(out_path, render_region_csv(config))
+    """Write the decision-region CSV to a file, one grid row at a time."""
+    # The grid is built and checked before the file is opened; the rows
+    # are then formatted as they are written, so memory stays O(resolution).
+    _write_text(out_path, _region_lines(config))
 
 
 def cmd_graph(out_path: str, base_chain_only: bool = False) -> None:
     """Write the game graph (or the bare 4-event chain) as DOT."""
     graph = base_chain(4) if base_chain_only else game_graph()
-    _write_text(out_path, to_dot(graph))
+    _write_text(out_path, [to_dot(graph)])
 
 
 def cmd_simulate(config: GameConfig) -> dict:
@@ -189,11 +204,13 @@ def cmd_simulate(config: GameConfig) -> dict:
     }
 
 
-def _write_text(path: str, text: str) -> None:
-    # The document is fully rendered before the file is opened, so a
-    # failed open never leaves a partial file behind.
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    # Callers build and check everything the chunks depend on before this
+    # call, so a failed open never leaves a partial file behind. The
+    # chunks may be produced lazily while they are written, which keeps
+    # only one of them in memory at a time.
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+        handle.writelines(chunks)
 
 
 def _load_config(args: argparse.Namespace) -> GameConfig:

@@ -27,6 +27,7 @@ Everything here is a pure function of its inputs; all values are
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -153,26 +154,42 @@ class DecisionBoundary:
 class RegionGrid:
     """Optimal choice sampled on an inclusive uniform grid over [0,1]^2.
 
-    cells[i][j] is the choice at p1 = i/(resolution-1), p2 = j/(resolution-1).
+    Row i is p1 = i/(resolution-1) and column j is p2 = j/(resolution-1).
+    U2 is monotone along a row, so each row chooses C1 on one run of
+    columns: c1_spans[i] = (lo, hi) means C1 for lo <= j < hi and C2
+    elsewhere, and either lo == 0 or hi == resolution. Built by
+    region_grid(); cells and choice_at() derive the per-cell view.
     """
 
     resolution: int
-    cells: tuple[tuple[CChoice, ...], ...]
+    c1_spans: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if len(self.cells) != self.resolution or any(
-            len(row) != self.resolution for row in self.cells
+        if len(self.c1_spans) != self.resolution or any(
+            not 0 <= lo <= hi <= self.resolution for lo, hi in self.c1_spans
         ):
             raise ValidationError(
-                f"grid must hold {self.resolution}x{self.resolution} cells"
+                f"grid must hold {self.resolution} C1 spans within 0..{self.resolution}"
             )
 
     def axis_value(self, index: int) -> float:
         """Grid coordinate for an axis index (endpoints inclusive)."""
         return index / (self.resolution - 1)
 
+    @property
+    def cells(self) -> tuple[tuple[CChoice, ...], ...]:
+        """cells[i][j] is the choice at row i, column j (resolution^2 cells)."""
+        r = self.resolution
+        return tuple(
+            (CChoice.C2,) * lo + (CChoice.C1,) * (hi - lo) + (CChoice.C2,) * (r - hi)
+            for lo, hi in self.c1_spans
+        )
+
     def choice_at(self, i: int, j: int) -> CChoice:
-        return self.cells[i][j]
+        check_int(i, "i", 0, self.resolution - 1)
+        check_int(j, "j", 0, self.resolution - 1)
+        lo, hi = self.c1_spans[i]
+        return CChoice.C1 if lo <= j < hi else CChoice.C2
 
 
 def expected_utilities(v: UtilityMatrix, p: PredictorProfile) -> tuple[float, float]:
@@ -202,17 +219,28 @@ def region_grid(v: UtilityMatrix, resolution: int = 101) -> RegionGrid:
 
     The first index runs over p1, the second over p2, both ascending
     from 0 to 1 in steps of 1/(resolution-1). U1 depends only on p1 and
-    U2 only on p2, so the grid is the outer comparison of two utility
-    vectors, each computed with the same float operations as
-    expected_utilities().
+    U2 only on p2; both vectors use the same float operations as
+    expected_utilities(). U2 = v12 + p2*(v22 - v12) is affine in p2, and
+    rounded multiplication and addition by a constant are monotone, so
+    the u2 vector is monotone too: ascending when v22 >= v12, descending
+    otherwise. A row's C1 cells, where u1 >= u2, are then a prefix or a
+    suffix of the p2 axis, and one bisection per row finds it, O(r log r)
+    in all instead of r^2 comparisons.
     """
     check_int(resolution, "resolution", 2)
     step = resolution - 1
     axis = [i / step for i in range(resolution)]
     u1 = [v.v21 + x * (v.v11 - v.v21) for x in axis]
     u2 = [v.v12 + x * (v.v22 - v.v12) for x in axis]
-    cells = tuple(tuple(CChoice.C1 if a >= b else CChoice.C2 for b in u2) for a in u1)
-    return RegionGrid(resolution=resolution, cells=cells)
+    if v.v22 >= v.v12:
+        # u2 ascends: C1 where u2[j] <= u1, a prefix
+        spans = tuple((0, bisect_right(u2, a)) for a in u1)
+    else:
+        # u2 descends, so -u2 ascends (negation is exact): C1 where
+        # -u2[j] >= -u1, a suffix
+        negated = [-b for b in u2]
+        spans = tuple((bisect_left(negated, -a), resolution) for a in u1)
+    return RegionGrid(resolution=resolution, c1_spans=spans)
 
 
 def dominant_choice(v: UtilityMatrix) -> CChoice | None:

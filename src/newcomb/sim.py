@@ -308,6 +308,9 @@ def compare(
     The C1 batch uses trials [0, n) and the C2 batch [n, 2n), so the
     whole table is a pure function of (seed, n).
     """
+    # Both batches' indices must fit in 64 unsigned bits; checking n here
+    # rejects a too-large n before the C1 batch runs, not after it.
+    check_int(n, "n", 1, 1 << 63)
     return ComparisonTable(
         c1=monte_carlo(v, p, CChoice.C1, n, rng, parallelism, first_trial=0),
         c2=monte_carlo(v, p, CChoice.C2, n, rng, parallelism, first_trial=n),

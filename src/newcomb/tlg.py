@@ -202,7 +202,16 @@ class TLGraph:
             if a not in ds.parent or b not in ds.parent:
                 raise ValidationError(f"entangled pair ({a}, {b}) references unknown node")
             ds.union(a, b)
-        return cls(nodes=nodes, edges=frozenset(edges), entanglement=ds.classes())
+        # A set's members are hashable already, and copying it reuses their
+        # hashes. Other edges may be lists: tuple() turns one into a tuple
+        # and returns a tuple edge as it is.
+        if not isinstance(edges, (set, frozenset)):
+            edges = map(tuple, edges)
+        try:
+            edges = frozenset(edges)
+        except TypeError:
+            raise ValidationError("every edge must be a pair (u, v) of node ids") from None
+        return cls(nodes=nodes, edges=edges, entanglement=ds.classes())
 
     def with_entanglement(self, pairs: Iterable[tuple[int, int]]) -> "TLGraph":
         """Same nodes and edges, partition rebuilt from the given pairs."""
@@ -229,9 +238,6 @@ class TLGraph:
         except KeyError:
             raise ValidationError(f"unknown node id {node_id}") from None
 
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._by_id
-
     def successors(self, node_id: int) -> tuple[int, ...]:
         self.node(node_id)
         return self._successors[node_id]
@@ -239,9 +245,6 @@ class TLGraph:
     def entangled_class(self, node_id: int) -> frozenset[int]:
         self.node(node_id)
         return self._class_of[node_id]
-
-    def are_entangled(self, a: int, b: int) -> bool:
-        return b in self.entangled_class(a)
 
     @property
     def nontrivial_classes(self) -> tuple[frozenset[int], ...]:

@@ -6,17 +6,20 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import newcomb
-from newcomb import ConfigError, PredictorProfile, UtilityMatrix, ValidationError
+from newcomb import ConfigError, PredictorProfile, UtilityMatrix, ValidationError, choose
 from newcomb.cli import (
     GameConfig,
+    _format_probability,
     cmd_expected,
     cmd_graph,
+    cmd_region,
     cmd_simulate,
     main,
     parse_config,
@@ -227,6 +230,51 @@ def test_region_csv_probability_formatting():
     first_column = {row.split(",")[0] for row in rows}
     assert "0.166667" in first_column  # six significant digits
     assert "0.5" in first_column  # trailing zeros trimmed
+
+
+def _naive_region_csv(config):
+    """One choose() call and one formatted line per cell."""
+    step = config.resolution - 1
+    lines = ["p1,p2,choice"]
+    for i in range(config.resolution):
+        for j in range(config.resolution):
+            choice = choose(config.utilities, PredictorProfile(i / step, j / step))
+            lines.append(f"{_format_probability(i / step)},{_format_probability(j / step)},{choice.value}")
+    return "".join(line + "\n" for line in lines)
+
+
+# Few distinct values, so that draws repeat entries: v22 == v12 gives a
+# flat u2, v22 < v12 a decreasing one, and equal rows give U1 == U2 ties.
+_UTILITY_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 1e308, 1.7e308, 1.7976931348623157e308]),
+    st.floats(min_value=0, max_value=1.7976931348623157e308),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(utilities=st.lists(_UTILITY_VALUES, min_size=4, max_size=4), resolution=st.integers(2, 64))
+def test_region_csv_matches_a_per_cell_reference(utilities, resolution):
+    config = GameConfig(UtilityMatrix(*utilities), PredictorProfile.random(), resolution=resolution)
+    # Compared as lists of lines, which join back to the same text, so a
+    # failure names the first differing line.
+    got = render_region_csv(config).splitlines(keepends=True)
+    assert got == _naive_region_csv(config).splitlines(keepends=True)
+
+
+def test_cmd_region_streams_in_bounded_memory(tmp_path):
+    # The CSV at r = 1201 is about 28 MB; writing it row by row holds
+    # only O(r) strings at a time.
+    config = GameConfig(UtilityMatrix.classic(), PredictorProfile.random(), resolution=1201)
+    out = tmp_path / "region.csv"
+    tracemalloc.start()
+    try:
+        cmd_region(config, str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    with open(out, "rb") as handle:
+        assert sum(1 for _ in handle) == 1 + 1201 * 1201
 
 
 # ── files and processes ────────────────────────────────────────────

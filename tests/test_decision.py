@@ -269,6 +269,12 @@ def test_region_grid_rejects_bad_resolution(bad):
         region_grid(CLASSIC, bad)
 
 
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (5, 0), (0, 5), (1.0, 0), (0, True)])
+def test_region_grid_choice_at_rejects_indices_off_the_grid(i, j):
+    with pytest.raises(ValidationError):
+        region_grid(CLASSIC, 5).choice_at(i, j)
+
+
 def test_region_grid_axis_endpoints_inclusive():
     grid = region_grid(CLASSIC, 5)
     assert grid.axis_value(0) == 0.0

@@ -349,6 +349,15 @@ def test_compare_total_mispredict_endpoints():
     assert table.empirical == (1_010_000.0, 0.0)
 
 
+def test_compare_rejects_trials_past_64_bits_before_any_batch(monkeypatch):
+    def no_kernel(*args):
+        pytest.fail(f"the kernel ran on {args} for a too-large n")
+
+    monkeypatch.setattr(sim, "_count_s1", no_kernel)
+    with pytest.raises(ValidationError):
+        compare(CLASSIC, RANDOM_P, 2**63 + 1)
+
+
 # ── oracle equivalence ─────────────────────────────────────────────
 
 

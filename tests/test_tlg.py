@@ -224,6 +224,9 @@ _TWO_NODES = [EventNode(1, EventKind.GENERIC), EventNode(2, EventKind.GENERIC)]
         pytest.param(lambda: EventNode(2, EventKind.GENERIC, copy_of=0), id="copy_of-zero"),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [(1,)]), id="edge-of-one"),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [(1, 2, 3)]), id="edge-of-three"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [[1]]), id="list-edge-of-one"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [[1, 2, 3]]), id="list-edge-of-three"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [[[1], 2]]), id="edge-of-unhashable-ids"),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [(1,)]), id="pair-of-one"),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [(1, 2, 3)]), id="pair-of-three"),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [5]), id="edge-not-a-sequence"),
@@ -233,6 +236,10 @@ _TWO_NODES = [EventNode(1, EventKind.GENERIC), EventNode(2, EventKind.GENERIC)]
 def test_malformed_graph_input_raises_validation_error(make):
     with pytest.raises(ValidationError):
         make()
+
+
+def test_list_edges_build_the_same_graph_as_tuple_edges():
+    assert TLGraph.build(_TWO_NODES, [[1, 2]], [[1, 2]]) == TLGraph.build(_TWO_NODES, [(1, 2)], [(1, 2)])
 
 
 # ── player_timeline ────────────────────────────────────────────────
