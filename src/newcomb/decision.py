@@ -165,12 +165,18 @@ class RegionGrid:
     c1_spans: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if len(self.c1_spans) != self.resolution or any(
-            not 0 <= lo <= hi <= self.resolution for lo, hi in self.c1_spans
-        ):
-            raise ValidationError(
-                f"grid must hold {self.resolution} C1 spans within 0..{self.resolution}"
-            )
+        r = check_int(self.resolution, "resolution", 2)
+        if len(self.c1_spans) != r:
+            raise ValidationError(f"grid must hold {r} C1 spans, got {len(self.c1_spans)}")
+        for i, span in enumerate(self.c1_spans):
+            try:
+                lo, hi = span
+            except (TypeError, ValueError):
+                raise ValidationError(f"c1_spans[{i}] must be a pair (lo, hi), got {span!r}") from None
+            check_int(lo, f"c1_spans[{i}] lo", 0, r)
+            check_int(hi, f"c1_spans[{i}] hi", lo, r)
+            if lo != 0 and hi != r:
+                raise ValidationError(f"c1_spans[{i}] = {span!r} must start at 0 or end at {r}")
 
     def axis_value(self, index: int) -> float:
         """Grid coordinate for an axis index (endpoints inclusive)."""
@@ -178,7 +184,11 @@ class RegionGrid:
 
     @property
     def cells(self) -> tuple[tuple[CChoice, ...], ...]:
-        """cells[i][j] is the choice at row i, column j (resolution^2 cells)."""
+        """cells[i][j] is the choice at row i, column j.
+
+        Builds all resolution^2 cells on every access; choice_at() is the
+        per-cell lookup.
+        """
         r = self.resolution
         return tuple(
             (CChoice.C2,) * lo + (CChoice.C1,) * (hi - lo) + (CChoice.C2,) * (r - hi)

@@ -156,6 +156,8 @@ class TLGraph:
                         f"copy {node.id} must share its original's kind"
                     )
         for edge in self.edges:
+            if not isinstance(edge, tuple):
+                raise ValidationError(f"edge {edge!r} must be a tuple (u, v)")
             try:
                 u, v = edge
             except (TypeError, ValueError):
@@ -202,13 +204,17 @@ class TLGraph:
             if a not in ds.parent or b not in ds.parent:
                 raise ValidationError(f"entangled pair ({a}, {b}) references unknown node")
             ds.union(a, b)
-        # A set's members are hashable already, and copying it reuses their
-        # hashes. Other edges may be lists: tuple() turns one into a tuple
-        # and returns a tuple edge as it is.
-        if not isinstance(edges, (set, frozenset)):
-            edges = map(tuple, edges)
+        # An edge is an ordered pair, so only a tuple or a list is one;
+        # tuple() turns a list edge into a tuple and returns a tuple as it is.
         try:
-            edges = frozenset(edges)
+            edges = tuple(edges)
+        except TypeError:
+            raise ValidationError("edges must be an iterable of (u, v) pairs") from None
+        for kind in set(map(type, edges)):
+            if not issubclass(kind, (tuple, list)):
+                raise ValidationError(f"every edge must be a tuple or list (u, v), not {kind.__name__}")
+        try:
+            edges = frozenset(map(tuple, edges))
         except TypeError:
             raise ValidationError("every edge must be a pair (u, v) of node ids") from None
         return cls(nodes=nodes, edges=edges, entanglement=ds.classes())

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from newcomb import (
     CChoice,
     PredictorProfile,
+    RegionGrid,
     SChoice,
     UtilityMatrix,
     ValidationError,
@@ -273,6 +274,33 @@ def test_region_grid_rejects_bad_resolution(bad):
 def test_region_grid_choice_at_rejects_indices_off_the_grid(i, j):
     with pytest.raises(ValidationError):
         region_grid(CLASSIC, 5).choice_at(i, j)
+
+
+@pytest.mark.parametrize(
+    "resolution, spans",
+    [
+        (3, ((0.5, 2),) * 3),  # not an integer
+        (3, ((0, True),) * 3),  # a bool is not an index
+        (3, ((1, 2),) * 3),  # neither a prefix nor a suffix
+        (3, ((2, 1),) * 3),  # lo > hi
+        (3, ((0, 4),) * 3),  # past the row
+        (3, ((0, 3),) * 2),  # one row short
+        (3, ((0,),) * 3),  # not a pair
+        (1, ((0, 1),)),  # resolution below 2
+    ],
+)
+def test_region_grid_rejects_malformed_spans(resolution, spans):
+    with pytest.raises(ValidationError):
+        RegionGrid(resolution, spans)
+
+
+def test_region_grid_accepts_prefix_and_suffix_spans():
+    grid = RegionGrid(3, ((0, 0), (0, 2), (1, 3)))
+    assert grid.cells == (
+        (CChoice.C2, CChoice.C2, CChoice.C2),
+        (CChoice.C1, CChoice.C1, CChoice.C2),
+        (CChoice.C2, CChoice.C1, CChoice.C1),
+    )
 
 
 def test_region_grid_axis_endpoints_inclusive():

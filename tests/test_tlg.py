@@ -230,6 +230,18 @@ _TWO_NODES = [EventNode(1, EventKind.GENERIC), EventNode(2, EventKind.GENERIC)]
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [(1,)]), id="pair-of-one"),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [(1, 2, 3)]), id="pair-of-three"),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [5]), id="edge-not-a-sequence"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [{1, 2}]), id="edge-as-set"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [frozenset({1, 2})]), id="edge-as-frozenset"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [{1: 0, 2: 0}]), id="edge-as-dict"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, 5), id="edges-not-iterable"),
+        pytest.param(
+            lambda: TLGraph(
+                nodes=tuple(_TWO_NODES),
+                edges=frozenset({frozenset({1, 2})}),
+                entanglement=(frozenset({1}), frozenset({2})),
+            ),
+            id="direct-edge-as-frozenset",
+        ),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [5]), id="pair-not-a-sequence"),
     ],
 )
@@ -239,7 +251,10 @@ def test_malformed_graph_input_raises_validation_error(make):
 
 
 def test_list_edges_build_the_same_graph_as_tuple_edges():
-    assert TLGraph.build(_TWO_NODES, [[1, 2]], [[1, 2]]) == TLGraph.build(_TWO_NODES, [(1, 2)], [(1, 2)])
+    want = TLGraph.build(_TWO_NODES, [(1, 2)], [(1, 2)])
+    assert TLGraph.build(_TWO_NODES, [[1, 2]], [[1, 2]]) == want
+    assert TLGraph.build(_TWO_NODES, {(1, 2)}, [(1, 2)]) == want
+    assert TLGraph.build(_TWO_NODES, iter([[1, 2]]), [(1, 2)]) == want
 
 
 # ── player_timeline ────────────────────────────────────────────────
