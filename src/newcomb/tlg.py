@@ -26,10 +26,12 @@ Graphs are immutable once built; every function here is pure.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from ._validate import check_int, check_type
@@ -97,6 +99,9 @@ class EventNode:
             check_int(self.copy_of, "copy_of", 1)
 
 
+_node_id = attrgetter("id")
+
+
 class _DisjointSet:
     # union-find with path compression; elements are node ids
     def __init__(self, elements: Iterable[int]):
@@ -139,12 +144,14 @@ class TLGraph:
     entanglement: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        ids = [n.id for n in self.nodes]
-        id_set = set(ids)
-        if len(ids) != len(id_set):
+        try:
+            nodes = tuple(self.nodes)
+        except TypeError:
+            raise ValidationError("nodes must be an iterable of EventNode") from None
+        by_id = {check_type(n, "node", EventNode).id: n for n in nodes}
+        if len(by_id) != len(nodes):
             raise ValidationError("node ids must be unique")
-        by_id = {n.id: n for n in self.nodes}
-        for node in self.nodes:
+        for node in nodes:
             if node.copy_of is not None:
                 original = by_id.get(node.copy_of)
                 if original is None:
@@ -155,34 +162,54 @@ class TLGraph:
                     raise ValidationError(
                         f"copy {node.id} must share its original's kind"
                     )
-        for edge in self.edges:
+        try:
+            edges = frozenset(self.edges)
+        except TypeError:
+            raise ValidationError("edges must be a set of (u, v) tuples") from None
+        for edge in edges:
             if not isinstance(edge, tuple):
                 raise ValidationError(f"edge {edge!r} must be a tuple (u, v)")
             try:
                 u, v = edge
             except (TypeError, ValueError):
                 raise ValidationError(f"edge {edge!r} must be a pair (u, v)") from None
-            if u not in id_set or v not in id_set:
+            if u not in by_id or v not in by_id:
                 raise ValidationError(f"edge ({u}, {v}) references unknown node")
             if u == v:
                 raise ValidationError(f"self-loop on node {u}")
-        object.__setattr__(self, "nodes", tuple(sorted(self.nodes, key=lambda n: n.id)))
-        object.__setattr__(self, "edges", frozenset(self.edges))
+        object.__setattr__(self, "nodes", tuple(sorted(nodes, key=_node_id)))
+        object.__setattr__(self, "edges", edges)
 
-        classes = tuple(sorted((frozenset(c) for c in self.entanglement), key=min))
+        # frozenset() of a non-iterable class or an unhashable member
+        # raises TypeError, min() of an empty class ValueError
+        try:
+            classes = tuple(sorted(map(frozenset, self.entanglement), key=min))
+        except (TypeError, ValueError):
+            raise ValidationError(
+                "entanglement must be an iterable of non-empty sets of node ids"
+            ) from None
         covered: set[int] = set()
         for cls in classes:
-            if covered & cls:
+            if not covered.isdisjoint(cls):
                 raise ValidationError("entanglement classes must be disjoint")
             covered |= cls
-            kinds = {by_id[i].kind for i in cls if i in by_id}
-            if cls - id_set:
+            if len(cls) == 1:
+                continue
+            if not cls <= by_id.keys():
                 raise ValidationError(f"entanglement class {set(cls)} has unknown ids")
-            if len(kinds) > 1:
+            members = iter(cls)
+            kind = by_id[next(members)].kind
+            for i in members:
+                if by_id[i].kind is not kind:
+                    raise ValidationError(
+                        f"entanglement class {set(cls)} mixes kinds"
+                        f" {kind.value} and {by_id[i].kind.value}"
+                    )
+        if covered != by_id.keys():
+            if not covered <= by_id.keys():
                 raise ValidationError(
-                    f"entanglement class {set(cls)} mixes kinds {kinds}"
+                    f"entanglement has unknown ids {set(covered - by_id.keys())}"
                 )
-        if covered != id_set:
             raise ValidationError("entanglement must partition the node-id set")
         object.__setattr__(self, "entanglement", classes)
 
@@ -194,16 +221,21 @@ class TLGraph:
         entangled_pairs: Iterable[tuple[int, int]] = (),
     ) -> "TLGraph":
         """Construct a graph, merging the given pairs into the partition."""
-        nodes = tuple(nodes)
-        ds = _DisjointSet(n.id for n in nodes)
+        try:
+            nodes = tuple(nodes)
+        except TypeError:
+            raise ValidationError("nodes must be an iterable of EventNode") from None
+        ds = _DisjointSet(check_type(n, "node", EventNode).id for n in nodes)
         for pair in entangled_pairs:
             try:
                 a, b = pair
             except (TypeError, ValueError):
                 raise ValidationError(f"entangled pair {pair!r} must be a pair (a, b)") from None
-            if a not in ds.parent or b not in ds.parent:
-                raise ValidationError(f"entangled pair ({a}, {b}) references unknown node")
-            ds.union(a, b)
+            # an unknown id raises KeyError in find(), an unhashable one TypeError
+            try:
+                ds.union(a, b)
+            except (KeyError, TypeError):
+                raise ValidationError(f"entangled pair ({a!r}, {b!r}) references unknown node") from None
         # An edge is an ordered pair, so only a tuple or a list is one;
         # tuple() turns a list edge into a tuple and returns a tuple as it is.
         try:
@@ -241,7 +273,7 @@ class TLGraph:
     def node(self, node_id: int) -> EventNode:
         try:
             return self._by_id[node_id]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValidationError(f"unknown node id {node_id}") from None
 
     def successors(self, node_id: int) -> tuple[int, ...]:
@@ -310,8 +342,9 @@ def base_chain(n: int) -> TLGraph:
     check_int(n, "chain length", 1)
     kinds = _GAME_CHAIN_KINDS if n == 4 else (EventKind.GENERIC,) * n
     nodes = tuple(EventNode(id=i + 1, kind=kinds[i]) for i in range(n))
-    edges = tuple((i, i + 1) for i in range(1, n))
-    return TLGraph.build(nodes, edges)
+    edges = frozenset((i, i + 1) for i in range(1, n))
+    singletons = tuple(frozenset((i,)) for i in range(1, n + 1))
+    return TLGraph(nodes=nodes, edges=edges, entanglement=singletons)
 
 
 def _require_chain(graph: TLGraph, n: int) -> None:
@@ -333,32 +366,40 @@ def unfold(chain: TLGraph, spec: UnfoldSpec) -> TLGraph:
 
     Adds the elaboration node (id n+1), the detour edges m -> E -> k,
     and a copy of every event after k (ids n+2 onward), each entangled
-    with its original. The returned graph is transmission-closed, so
-    consequences of the copies are entangled with their counterparts
-    as well.
+    with its original. That partition is already transmission-closed,
+    so entanglement_closure would leave it as it is:
+
+    * a pair (j, copy of j) has the successors j+1 and copy of j+1,
+      which are themselves a pair;
+    * the elaboration node is m's only successor of its kind;
+    * k is a singleton, so its two successors k+1 and copy of k+1 stay
+      apart.
     """
+    check_type(chain, "chain", TLGraph)
     check_type(spec, "spec", UnfoldSpec)
     _require_chain(chain, spec.n)
     n, k, m = spec.n, spec.k, spec.m
 
-    elaboration_id = n + 1
-    copy_id = {j: n + 1 + (j - k) for j in range(k + 1, n + 1)}
-
-    nodes = list(chain.nodes)
-    nodes.append(EventNode(id=elaboration_id, kind=EventKind.ELABORATION))
-    nodes.extend(
-        EventNode(id=copy_id[j], kind=chain.node(j).kind, copy_of=j)
-        for j in range(k + 1, n + 1)
+    elaboration = n + 1
+    # the copy of event j is n+1+j-k; chain.nodes[k:] are events k+1..n
+    copies = tuple(
+        EventNode(id=n + 1 + j - k, kind=node.kind, copy_of=j)
+        for j, node in enumerate(chain.nodes[k:], k + 1)
     )
-
-    edges = set(chain.edges)
-    edges.add((m, elaboration_id))
-    edges.add((elaboration_id, k))
-    edges.add((k, copy_id[k + 1]))
-    edges.update((copy_id[j], copy_id[j + 1]) for j in range(k + 1, n))
-
-    seeds = [(j, copy_id[j]) for j in range(k + 1, n + 1)]
-    return entanglement_closure(TLGraph.build(nodes, edges, seeds))
+    edges = chain.edges.union(
+        ((m, elaboration), (elaboration, k), (k, n + 2)),
+        ((c, c + 1) for c in range(n + 2, 2 * n + 1 - k)),
+    )
+    entanglement = (
+        *(frozenset((j,)) for j in range(1, k + 1)),
+        *(frozenset((j, n + 1 + j - k)) for j in range(k + 1, n + 1)),
+        frozenset((elaboration,)),
+    )
+    return TLGraph(
+        nodes=(*chain.nodes, EventNode(id=elaboration, kind=EventKind.ELABORATION), *copies),
+        edges=edges,
+        entanglement=entanglement,
+    )
 
 
 def game_graph() -> TLGraph:
@@ -388,6 +429,7 @@ def player_timeline(tlg: TLGraph, player: Player) -> Timeline:
     back, and then rides the copies. Only the standard game graph is
     supported.
     """
+    check_type(tlg, "graph", TLGraph)
     check_type(player, "player", Player)
     if (tlg.nodes, tlg.edges) != _game_shape():
         raise UnsupportedGraphError(
@@ -427,6 +469,7 @@ def validate_linearity(timeline: Timeline | Sequence[int], tlg: TLGraph) -> bool
     A hop is valid when it is a graph edge or a forward jump along the
     base chain. Returns False on any violation; unknown node ids raise.
     """
+    check_type(tlg, "graph", TLGraph)
     sequence = _as_sequence(timeline)
     for node_id in sequence:
         tlg.node(node_id)
@@ -441,6 +484,7 @@ def validate_linearity(timeline: Timeline | Sequence[int], tlg: TLGraph) -> bool
 
 def is_chain(tlg: TLGraph) -> bool:
     """True iff the whole graph is a single path from one source to one sink."""
+    check_type(tlg, "graph", TLGraph)
     n = len(tlg.nodes)
     if n == 0:
         return False
@@ -484,7 +528,12 @@ def entanglement_closure(tlg: TLGraph) -> TLGraph:
     edges. The result is the same least fixpoint as rescanning every
     pair of nodes until nothing changes: the smallest closure of the
     input partition, so applying it twice changes nothing.
+
+    unfold no longer calls it, since the partition it builds is already
+    closed; the closure serves graphs built by hand, for example with
+    TLGraph.build or with_entanglement.
     """
+    check_type(tlg, "graph", TLGraph)
     kind = {node.id: node.kind for node in tlg.nodes}
     ds = _DisjointSet(kind)
     # class root -> kind -> the class's successors of that kind not yet united
@@ -528,6 +577,7 @@ def detect_twist(
     position and are skipped. Returns every pair (a, b) where a is
     visited before b but a's base event comes causally after b's.
     """
+    check_type(tlg, "graph", TLGraph)
     sequence = _as_sequence(timeline)
     if base_order is None:
         base_order = tlg.original_ids()
@@ -543,11 +593,19 @@ def detect_twist(
             raise ValidationError(f"node {node_id} has no position in the base order")
         mapped.append((node_id, position[base_id]))
 
+    # later_min[i] is the least base position after i; an i whose own
+    # position is no greater than that starts no twist and is skipped
+    later_min = []
+    least = math.inf
+    for _, pos in reversed(mapped):
+        later_min.append(least)
+        least = min(least, pos)
+    later_min.reverse()
+
     twists = []
-    for i in range(len(mapped)):
-        for j in range(i + 1, len(mapped)):
-            if mapped[i][1] > mapped[j][1]:
-                twists.append((mapped[i][0], mapped[j][0]))
+    for i, (a, a_pos) in enumerate(mapped):
+        if a_pos > later_min[i]:
+            twists.extend((a, b) for b, b_pos in mapped[i + 1:] if a_pos > b_pos)
     return twists
 
 
@@ -559,6 +617,7 @@ def to_dot(tlg: TLGraph) -> str:
     edges that do not constrain the layout. Output bytes are a pure
     function of the graph.
     """
+    check_type(tlg, "graph", TLGraph)
     originals = set(tlg.original_ids())
     lines = ["digraph tlg {", "  rankdir=LR;"]
     for node in tlg.nodes:

@@ -173,6 +173,72 @@ def test_unfold_rejects_pre_entangled_chain():
         unfold(tangled, UnfoldSpec(n=2, k=1, m=2))
 
 
+def _unfold_by_closure(chain, n, k, m):
+    """unfold as the closure builds it: seed each copy with its original, then close."""
+    copy = {j: n + 1 + j - k for j in range(k + 1, n + 1)}
+    nodes = [
+        *chain.nodes,
+        EventNode(n + 1, EventKind.ELABORATION),
+        *(EventNode(c, chain.node(j).kind, copy_of=j) for j, c in copy.items()),
+    ]
+    edges = set(chain.edges) | {(m, n + 1), (n + 1, k), (k, copy[k + 1])}
+    edges |= {(copy[j], copy[j + 1]) for j in range(k + 1, n)}
+    return entanglement_closure(TLGraph.build(nodes, edges, copy.items()))
+
+
+def _assert_unfold_is_closed(chain, n, k, m):
+    unfolded = unfold(chain, UnfoldSpec(n, k, m))
+    assert entanglement_closure(unfolded) == unfolded
+    assert _unfold_by_closure(chain, n, k, m) == unfolded
+
+
+def test_unfold_partition_is_transmission_closed_for_every_small_spec():
+    count = 0
+    for n in range(2, 31):
+        chain = base_chain(n)
+        for k in range(1, n):
+            for m in range(k + 1, n + 1):
+                _assert_unfold_is_closed(chain, n, k, m)
+                count += 1
+    assert count == 4495
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unfold_partition_is_transmission_closed_for_long_chains(data):
+    n = data.draw(st.integers(2, 200))
+    k = data.draw(st.integers(1, n - 1))
+    m = data.draw(st.integers(k + 1, n))
+    _assert_unfold_is_closed(base_chain(n), n, k, m)
+
+
+def test_unfold_builds_one_graph_without_the_closure(monkeypatch):
+    import newcomb.tlg as tlg_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("unfold and base_chain must not reach this")
+
+    monkeypatch.setattr(tlg_module, "entanglement_closure", forbidden)
+    monkeypatch.setattr(tlg_module, "_DisjointSet", forbidden)
+    built = []
+    check = TLGraph.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(TLGraph, "__post_init__", counting_post_init)
+    with pytest.raises(AssertionError):
+        TLGraph.build(_TWO_NODES, [])  # the patch bites on the build path
+    for n, k, m in [(2, 1, 2), (4, 2, 3), (40, 9, 23)]:
+        built.clear()
+        chain = base_chain(n)
+        assert built == [chain]
+        built.clear()
+        unfolded = unfold(chain, UnfoldSpec(n, k, m))
+        assert len(built) == 1 and built[0] is unfolded
+
+
 # ── graph validation ───────────────────────────────────────────────
 
 
@@ -243,11 +309,52 @@ _TWO_NODES = [EventNode(1, EventKind.GENERIC), EventNode(2, EventKind.GENERIC)]
             id="direct-edge-as-frozenset",
         ),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [5]), id="pair-not-a-sequence"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [([1], 2)]), id="pair-of-unhashable-ids"),
+        pytest.param(
+            lambda: TLGraph(
+                nodes=tuple(_TWO_NODES),
+                edges=frozenset(),
+                entanglement=(frozenset(), frozenset({1}), frozenset({2})),
+            ),
+            id="empty-class",
+        ),
+        pytest.param(
+            lambda: TLGraph(nodes=tuple(_TWO_NODES), edges=frozenset(), entanglement=(1, 2)),
+            id="class-not-iterable",
+        ),
+        pytest.param(
+            lambda: TLGraph(
+                nodes=(1, 2),
+                edges=frozenset(),
+                entanglement=(frozenset({1}), frozenset({2})),
+            ),
+            id="direct-node-not-an-event",
+        ),
+        pytest.param(lambda: TLGraph.build([1, 2], []), id="built-node-not-an-event"),
+        pytest.param(lambda: validate_linearity([[1]], game_graph()), id="linearity-unhashable-id"),
+        pytest.param(lambda: detect_twist([[1]], game_graph()), id="twist-unhashable-id"),
     ],
 )
 def test_malformed_graph_input_raises_validation_error(make):
     with pytest.raises(ValidationError):
         make()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda g: unfold(g, GAME_UNFOLD), id="unfold"),
+        pytest.param(entanglement_closure, id="entanglement_closure"),
+        pytest.param(to_dot, id="to_dot"),
+        pytest.param(is_chain, id="is_chain"),
+        pytest.param(lambda g: validate_linearity([1], g), id="validate_linearity"),
+        pytest.param(lambda g: detect_twist([1], g), id="detect_twist"),
+        pytest.param(lambda g: player_timeline(g, Player.C), id="player_timeline"),
+    ],
+)
+def test_graph_argument_must_be_a_tlgraph(call):
+    with pytest.raises(ValidationError, match="must be of type TLGraph"):
+        call(None)
 
 
 def test_list_edges_build_the_same_graph_as_tuple_edges():
@@ -458,6 +565,38 @@ def test_twist_unmappable_node_raises():
     g = game_graph()
     with pytest.raises(ValidationError):
         detect_twist([1, 2, 3, 4], g, base_order=[1, 2, 3])
+
+
+def _twists_by_double_loop(walk, g, base_order=None):
+    """Reference: compare every pair of mapped positions."""
+    if base_order is None:
+        base_order = g.original_ids()
+    position = {node_id: idx for idx, node_id in enumerate(base_order)}
+    mapped = []
+    for node_id in walk:
+        node = g.node(node_id)
+        if node.kind is EventKind.ELABORATION:
+            continue
+        mapped.append((node_id, position[node.copy_of or node.id]))
+    twists = []
+    for i in range(len(mapped)):
+        for j in range(i + 1, len(mapped)):
+            if mapped[i][1] > mapped[j][1]:
+                twists.append((mapped[i][0], mapped[j][0]))
+    return twists
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_twist_matches_the_double_loop(data):
+    n = data.draw(st.integers(2, 12))
+    k = data.draw(st.integers(1, n - 1))
+    m = data.draw(st.integers(k + 1, n))
+    g = unfold(base_chain(n), UnfoldSpec(n, k, m))
+    walk = data.draw(st.lists(st.sampled_from([node.id for node in g.nodes]), max_size=20))
+    walk.insert(data.draw(st.integers(0, len(walk))), n + 1)  # the elaboration node
+    base_order = data.draw(st.none() | st.permutations(range(1, n + 1)))
+    assert detect_twist(walk, g, base_order) == _twists_by_double_loop(walk, g, base_order)
 
 
 def test_twist_excludes_elaboration_pairs():
