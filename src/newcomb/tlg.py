@@ -31,7 +31,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from ._validate import check_int, check_type
@@ -97,9 +96,6 @@ class EventNode:
         check_type(self.kind, "node kind", EventKind)
         if self.copy_of is not None:
             check_int(self.copy_of, "copy_of", 1)
-
-
-_node_id = attrgetter("id")
 
 
 class _DisjointSet:
@@ -177,7 +173,7 @@ class TLGraph:
                 raise ValidationError(f"edge ({u}, {v}) references unknown node")
             if u == v:
                 raise ValidationError(f"self-loop on node {u}")
-        object.__setattr__(self, "nodes", tuple(sorted(nodes, key=_node_id)))
+        object.__setattr__(self, "nodes", tuple(sorted(nodes, key=lambda n: n.id)))
         object.__setattr__(self, "edges", edges)
 
         # frozenset() of a non-iterable class or an unhashable member
@@ -188,15 +184,17 @@ class TLGraph:
             raise ValidationError(
                 "entanglement must be an iterable of non-empty sets of node ids"
             ) from None
-        covered: set[int] = set()
+        covered = set().union(*classes)
+        if sum(map(len, classes)) != len(covered):
+            raise ValidationError("entanglement classes must be disjoint")
+        if covered != by_id.keys():
+            unknown = covered - by_id.keys()
+            if unknown:
+                raise ValidationError(f"entanglement has unknown ids {set(unknown)}")
+            raise ValidationError("entanglement must partition the node-id set")
         for cls in classes:
-            if not covered.isdisjoint(cls):
-                raise ValidationError("entanglement classes must be disjoint")
-            covered |= cls
             if len(cls) == 1:
                 continue
-            if not cls <= by_id.keys():
-                raise ValidationError(f"entanglement class {set(cls)} has unknown ids")
             members = iter(cls)
             kind = by_id[next(members)].kind
             for i in members:
@@ -205,12 +203,6 @@ class TLGraph:
                         f"entanglement class {set(cls)} mixes kinds"
                         f" {kind.value} and {by_id[i].kind.value}"
                     )
-        if covered != by_id.keys():
-            if not covered <= by_id.keys():
-                raise ValidationError(
-                    f"entanglement has unknown ids {set(covered - by_id.keys())}"
-                )
-            raise ValidationError("entanglement must partition the node-id set")
         object.__setattr__(self, "entanglement", classes)
 
     @classmethod
@@ -529,8 +521,8 @@ def entanglement_closure(tlg: TLGraph) -> TLGraph:
     pair of nodes until nothing changes: the smallest closure of the
     input partition, so applying it twice changes nothing.
 
-    unfold no longer calls it, since the partition it builds is already
-    closed; the closure serves graphs built by hand, for example with
+    unfold does not call it: the partition unfold builds is already
+    closed. The closure serves graphs built by hand, for example with
     TLGraph.build or with_entanglement.
     """
     check_type(tlg, "graph", TLGraph)

@@ -331,6 +331,19 @@ _TWO_NODES = [EventNode(1, EventKind.GENERIC), EventNode(2, EventKind.GENERIC)]
             id="direct-node-not-an-event",
         ),
         pytest.param(lambda: TLGraph.build([1, 2], []), id="built-node-not-an-event"),
+        pytest.param(lambda: TLGraph.build(5, []), id="built-nodes-not-iterable"),
+        pytest.param(
+            lambda: TLGraph(nodes=5, edges=frozenset(), entanglement=()),
+            id="direct-nodes-not-iterable",
+        ),
+        pytest.param(
+            lambda: TLGraph(
+                nodes=tuple(_TWO_NODES),
+                edges=[([1], 2)],
+                entanglement=(frozenset({1}), frozenset({2})),
+            ),
+            id="direct-edge-of-unhashable-ids",
+        ),
         pytest.param(lambda: validate_linearity([[1]], game_graph()), id="linearity-unhashable-id"),
         pytest.param(lambda: detect_twist([[1]], game_graph()), id="twist-unhashable-id"),
     ],
