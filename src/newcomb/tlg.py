@@ -98,6 +98,13 @@ class EventNode:
             check_int(self.copy_of, "copy_of", 1)
 
 
+def _as_tuple(items, name: str) -> tuple:
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValidationError(f"{name} must be iterable, got {items!r}") from None
+
+
 class _DisjointSet:
     # union-find with path compression; elements are node ids
     def __init__(self, elements: Iterable[int]):
@@ -140,10 +147,7 @@ class TLGraph:
     entanglement: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        try:
-            nodes = tuple(self.nodes)
-        except TypeError:
-            raise ValidationError("nodes must be an iterable of EventNode") from None
+        nodes = _as_tuple(self.nodes, "nodes")
         by_id = {check_type(n, "node", EventNode).id: n for n in nodes}
         if len(by_id) != len(nodes):
             raise ValidationError("node ids must be unique")
@@ -213,12 +217,9 @@ class TLGraph:
         entangled_pairs: Iterable[tuple[int, int]] = (),
     ) -> "TLGraph":
         """Construct a graph, merging the given pairs into the partition."""
-        try:
-            nodes = tuple(nodes)
-        except TypeError:
-            raise ValidationError("nodes must be an iterable of EventNode") from None
+        nodes = _as_tuple(nodes, "nodes")
         ds = _DisjointSet(check_type(n, "node", EventNode).id for n in nodes)
-        for pair in entangled_pairs:
+        for pair in _as_tuple(entangled_pairs, "entangled pairs"):
             try:
                 a, b = pair
             except (TypeError, ValueError):
@@ -230,10 +231,7 @@ class TLGraph:
                 raise ValidationError(f"entangled pair ({a!r}, {b!r}) references unknown node") from None
         # An edge is an ordered pair, so only a tuple or a list is one;
         # tuple() turns a list edge into a tuple and returns a tuple as it is.
-        try:
-            edges = tuple(edges)
-        except TypeError:
-            raise ValidationError("edges must be an iterable of (u, v) pairs") from None
+        edges = _as_tuple(edges, "edges")
         for kind in set(map(type, edges)):
             if not issubclass(kind, (tuple, list)):
                 raise ValidationError(f"every edge must be a tuple or list (u, v), not {kind.__name__}")
@@ -298,7 +296,8 @@ class Timeline:
     sequence: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sequence", tuple(self.sequence))
+        check_type(self.player, "player", Player)
+        object.__setattr__(self, "sequence", _as_tuple(self.sequence, "timeline"))
 
 
 @dataclass(frozen=True)
@@ -452,7 +451,7 @@ def _chain_skip_allowed(tlg: TLGraph, originals: set[int], a: int, b: int) -> bo
 def _as_sequence(timeline: Timeline | Sequence[int]) -> tuple[int, ...]:
     if isinstance(timeline, Timeline):
         return timeline.sequence
-    return tuple(timeline)
+    return _as_tuple(timeline, "timeline")
 
 
 def validate_linearity(timeline: Timeline | Sequence[int], tlg: TLGraph) -> bool:
@@ -573,7 +572,10 @@ def detect_twist(
     sequence = _as_sequence(timeline)
     if base_order is None:
         base_order = tlg.original_ids()
-    position = {node_id: idx for idx, node_id in enumerate(base_order)}
+    try:
+        position = {node_id: idx for idx, node_id in enumerate(base_order)}
+    except TypeError:
+        raise ValidationError("base_order must be an iterable of node ids") from None
 
     mapped: list[tuple[int, int]] = []  # (timeline id, base position)
     for node_id in sequence:

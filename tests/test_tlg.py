@@ -344,7 +344,14 @@ _TWO_NODES = [EventNode(1, EventKind.GENERIC), EventNode(2, EventKind.GENERIC)]
             ),
             id="direct-edge-of-unhashable-ids",
         ),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [], 5), id="pairs-not-iterable"),
         pytest.param(lambda: validate_linearity([[1]], game_graph()), id="linearity-unhashable-id"),
+        pytest.param(lambda: validate_linearity(5, game_graph()), id="linearity-walk-not-iterable"),
+        pytest.param(lambda: detect_twist(5, game_graph()), id="twist-walk-not-iterable"),
+        pytest.param(lambda: detect_twist([1], game_graph(), 5), id="twist-base-order-not-iterable"),
+        pytest.param(lambda: detect_twist([1], game_graph(), [[1]]), id="twist-base-order-unhashable"),
+        pytest.param(lambda: Timeline(Player.C, 5), id="timeline-not-iterable"),
+        pytest.param(lambda: Timeline("C", [1]), id="timeline-player-not-a-player"),
         pytest.param(lambda: detect_twist([[1]], game_graph()), id="twist-unhashable-id"),
     ],
 )
