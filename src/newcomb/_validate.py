@@ -11,6 +11,9 @@ import math
 
 from .errors import ValidationError
 
+# The largest unsigned 64-bit integer: the bound of seeds and trial indices.
+UINT64_MAX = (1 << 64) - 1
+
 
 def check_int(value, name: str, minimum: int, maximum: int | None = None) -> int:
     """An int (not a bool) in [minimum, maximum]; no upper bound when maximum is None."""

@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from . import __version__
-from ._validate import check_int, check_number, check_type
+from ._validate import UINT64_MAX, check_int, check_number, check_type
 from .decision import (
     PredictorProfile,
     UtilityMatrix,
@@ -29,8 +29,9 @@ from .decision import (
     region_grid,
 )
 from .errors import ConfigError, NewcombError, ValidationError
-from .sim import _MASK64, RngSpec, compare
-from .tlg import base_chain, game_graph, to_dot
+
+# tlg and sim are imported inside cmd_graph and cmd_simulate, so that
+# expected and region start without loading either of them.
 
 __all__ = [
     "GameConfig",
@@ -64,7 +65,7 @@ class GameConfig:
         check_type(self.utilities, "utilities", UtilityMatrix)
         check_type(self.predictor, "predictor", PredictorProfile)
         check_int(self.trials, "trials", 1)
-        check_int(self.seed, "seed", 0, _MASK64)
+        check_int(self.seed, "seed", 0, UINT64_MAX)
         check_int(self.resolution, "resolution", 2)
         check_int(self.parallelism, "parallelism", 1)
 
@@ -179,12 +180,16 @@ def cmd_region(config: GameConfig, out_path: str) -> None:
 
 def cmd_graph(out_path: str, base_chain_only: bool = False) -> None:
     """Write the game graph (or the bare 4-event chain) as DOT."""
+    from .tlg import base_chain, game_graph, to_dot
+
     graph = base_chain(4) if base_chain_only else game_graph()
     _write_text(out_path, [to_dot(graph)])
 
 
 def cmd_simulate(config: GameConfig) -> dict:
     """Run both-choice Monte Carlo and report theoretical vs numerical."""
+    from .sim import RngSpec, compare
+
     table = compare(
         config.utilities,
         config.predictor,

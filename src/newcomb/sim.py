@@ -26,14 +26,12 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
-from ._validate import check_int, check_number, check_type
+from ._validate import UINT64_MAX, check_int, check_number, check_type
 from .decision import CChoice, PredictorProfile, SChoice, UtilityMatrix, expected_utilities
 from .errors import EntanglementViolationError, ValidationError
-from .tlg import _TIMELINES, Player
 
 __all__ = [
     "OMEGA_ORDER",
@@ -48,12 +46,22 @@ __all__ = [
     "compare",
 ]
 
-# The oracle's visit order over the 7-node game graph.
-OMEGA_ORDER = _TIMELINES[Player.OMEGA]
-
-_MASK64 = (1 << 64) - 1
+_MASK64 = UINT64_MAX
 _TRIAL_INCREMENT = 0x9E3779B97F4A7C15  # golden-ratio Weyl step between trials
 _DRAW_INCREMENT = 0xC2B2AE3D27D4EB4F  # odd step between draws within a trial
+
+
+def __getattr__(name: str):
+    # OMEGA_ORDER, the oracle's visit order over the 7-node game graph, is
+    # read from the graph's timeline table on first use (PEP 562), so that
+    # importing sim does not load tlg.
+    if name != "OMEGA_ORDER":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .tlg import _TIMELINES, Player
+
+    global OMEGA_ORDER
+    OMEGA_ORDER = _TIMELINES[Player.OMEGA]
+    return OMEGA_ORDER
 
 
 def _mix64(x: int) -> int:
@@ -193,9 +201,12 @@ def _count_s1(seed: int, start: int, stop: int, q: float) -> int:
     # Counts draw 0 of trials [start, stop) below q; matches TrialStream
     # exactly. A draw is u = (x >> 11) * 2^-53, and for an integer x,
     # u < q holds iff x < ceil(q * 2^53) << 11. At q >= 1 that threshold
-    # would not fit in 64 bits, but then every draw is below q.
+    # would not fit in 64 bits, but then every draw is below q; at q <= 0
+    # it is 0, and no draw is below it.
     if q >= 1.0:
         return stop - start
+    if q <= 0.0:
+        return 0
     # numpy is imported here, not at module level, so that importing the
     # package (and every command but simulate) does not pay for loading it.
     import numpy as np
@@ -271,6 +282,8 @@ def monte_carlo(
     if workers == 1:
         n_s1 = _count_s1(rng.seed, first_trial, first_trial + n, s1_prob)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         edges = [first_trial + n * w // workers for w in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             spans = pool.map(_count_s1, repeat(rng.seed), edges[:-1], edges[1:], repeat(s1_prob))

@@ -332,26 +332,37 @@ def test_cli_simulate_prints_strict_json_near_the_float_limit(tmp_path):
     assert 0.0 < doc["numerical"]["C2"] < 1.7e308
 
 
-def test_commands_other_than_simulate_never_load_numpy(tmp_path):
+def test_each_command_loads_only_its_layers(tmp_path):
+    # Each case runs in a fresh interpreter, which must not load the modules
+    # listed with it: the layers the command does not run, the thread pool
+    # of a one-worker batch, and numpy when no batch has 0 < q < 1.
     config = tmp_path / "game.json"
     config.write_text(CLASSIC_JSON)
-    script = f"""
+    perfect = tmp_path / "perfect.json"
+    perfect.write_text(CLASSIC_JSON.replace("[0.5, 0.5]", "[1, 1]"))
+    closed_form_only = ["newcomb.sim", "newcomb.tlg", "concurrent.futures", "numpy"]
+    cases = [
+        (None, ["newcomb.decision", "newcomb.sim", "newcomb.tlg", "newcomb.cli", "numpy"]),
+        (["expected", "--config", str(config)], closed_form_only),
+        (["region", "--config", str(config), "--out", str(tmp_path / "region.csv")], closed_form_only),
+        (["graph", "--out", str(tmp_path / "tlg.dot")], ["newcomb.sim", "numpy"]),
+        (["simulate", "--config", str(config), "--parallelism", "1"], ["newcomb.tlg", "concurrent.futures"]),
+        (["simulate", "--config", str(perfect)], ["numpy"]),
+    ]
+    for argv, unloaded in cases:
+        script = f"""
 import sys
 import newcomb
-from newcomb import cli
-assert "numpy" not in sys.modules, "import newcomb"
-for argv in (
-    ["expected", "--config", {str(config)!r}],
-    ["graph", "--out", {str(tmp_path / "tlg.dot")!r}],
-    ["region", "--config", {str(config)!r}, "--out", {str(tmp_path / "region.csv")!r}],
-):
-    assert cli.main(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv[0]
+if {argv!r} is not None:
+    from newcomb import cli
+    assert cli.main({argv!r}) == 0
+loaded = sorted(set({unloaded!r}) & set(sys.modules))
+assert not loaded, loaded
 """
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
-    )
-    assert result.returncode == 0, result.stderr
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert result.returncode == 0, (argv, result.stderr)
 
 
 def test_cli_region_bytes_are_reproducible(tmp_path):

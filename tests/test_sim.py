@@ -1,5 +1,6 @@
 """Unit tests for the oracle-frame simulator."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -217,7 +218,7 @@ def test_monte_carlo_parallelism_is_bit_identical(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a single-chunk batch started a thread pool")
 
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     base = monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, 1_000, RngSpec(13), parallelism=1)
     run = monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, 1_000, RngSpec(13), parallelism=10**6)
     assert run.empirical_mean == base.empirical_mean
