@@ -365,6 +365,25 @@ assert not loaded, loaded
         assert result.returncode == 0, (argv, result.stderr)
 
 
+def test_submodules_and_omega_order_resolve_after_a_bare_import():
+    # A fresh interpreter, so that each name below resolves on first access.
+    script = """
+import sys
+import newcomb
+from newcomb.sim import OMEGA_ORDER
+assert newcomb.sim is sys.modules["newcomb.sim"]
+assert newcomb.tlg is sys.modules["newcomb.tlg"]
+timeline = newcomb.tlg.player_timeline(newcomb.tlg.game_graph(), newcomb.tlg.Player.OMEGA)
+assert OMEGA_ORDER == timeline.sequence == (1, 3, 5, 2, 6, 7), OMEGA_ORDER
+for name in ("cli", "decision", "errors"):
+    assert getattr(newcomb, name) is sys.modules["newcomb." + name], name
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_cli_region_bytes_are_reproducible(tmp_path):
     config = tmp_path / "game.json"
     config.write_text(CLASSIC_JSON)

@@ -1,20 +1,10 @@
 """Tests for the package's public surface, whose exports load on first use."""
 
-import os
-import subprocess
-import sys
 from importlib import import_module
 
 import pytest
 
 import newcomb
-
-# Child interpreters import the package from the same source tree as this one.
-_SRC = os.path.dirname(os.path.dirname(os.path.abspath(newcomb.__file__)))
-CHILD_ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))),
-}
 
 SUBMODULES = [import_module(f"newcomb.{name}") for name in ("decision", "errors", "sim", "tlg")]
 
@@ -40,22 +30,3 @@ def test_unknown_name_raises_attribute_error(module):
         module.no_such_name
     assert not hasattr(module, "no_such_name")
 
-
-def test_submodules_and_omega_order_resolve_after_a_bare_import():
-    # In a fresh interpreter, nothing but the package itself is loaded
-    # before the first attribute is read.
-    script = """
-import sys
-import newcomb
-from newcomb.sim import OMEGA_ORDER
-assert newcomb.sim is sys.modules["newcomb.sim"]
-assert newcomb.tlg is sys.modules["newcomb.tlg"]
-timeline = newcomb.tlg.player_timeline(newcomb.tlg.game_graph(), newcomb.tlg.Player.OMEGA)
-assert OMEGA_ORDER == timeline.sequence == (1, 3, 5, 2, 6, 7), OMEGA_ORDER
-for name in ("cli", "decision", "errors"):
-    assert getattr(newcomb, name) is sys.modules["newcomb." + name], name
-"""
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
-    )
-    assert result.returncode == 0, result.stderr
