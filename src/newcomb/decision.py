@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
-from ._validate import check_int, check_number
+from ._validate import check_int, check_number, check_type
 from .errors import ValidationError
 
 __all__ = [
@@ -99,12 +99,15 @@ class UtilityMatrix:
 
     def payoff(self, s: SChoice, c: CChoice) -> float:
         """Table lookup v[s][c]."""
+        check_type(s, "s", SChoice)
+        check_type(c, "c", CChoice)
         if s is SChoice.S1:
             return self.v11 if c is CChoice.C1 else self.v12
         return self.v21 if c is CChoice.C1 else self.v22
 
     def column(self, c: CChoice) -> tuple[float, float]:
         """The (v1j, v2j) column for C's choice j."""
+        check_type(c, "c", CChoice)
         if c is CChoice.C1:
             return (self.v11, self.v21)
         return (self.v12, self.v22)
@@ -135,6 +138,7 @@ class PredictorProfile:
 
     def s1_probability(self, c: CChoice) -> float:
         """P(S = S1 | C = c)."""
+        check_type(c, "c", CChoice)
         return self.p1 if c is CChoice.C1 else 1.0 - self.p2
 
 
@@ -208,6 +212,8 @@ def expected_utilities(v: UtilityMatrix, p: PredictorProfile) -> tuple[float, fl
     U1 = v21 + p1*(v11 - v21) and U2 = v12 + p2*(v22 - v12), evaluated
     directly in double precision with no extra rounding.
     """
+    check_type(v, "v", UtilityMatrix)
+    check_type(p, "p", PredictorProfile)
     u1 = v.v21 + p.p1 * (v.v11 - v.v21)
     u2 = v.v12 + p.p2 * (v.v22 - v.v12)
     return (u1, u2)
@@ -221,6 +227,7 @@ def choose(v: UtilityMatrix, p: PredictorProfile) -> CChoice:
 
 def decision_boundary(v: UtilityMatrix) -> DecisionBoundary:
     """Canonical half-plane coefficients of the choice rule for v."""
+    check_type(v, "v", UtilityMatrix)
     return DecisionBoundary(a1=v.v11 - v.v21, a2=v.v12 - v.v22, b=v.v12 - v.v21)
 
 
@@ -237,6 +244,7 @@ def region_grid(v: UtilityMatrix, resolution: int = 101) -> RegionGrid:
     suffix of the p2 axis, and one bisection per row finds it, O(r log r)
     in all instead of r^2 comparisons.
     """
+    check_type(v, "v", UtilityMatrix)
     check_int(resolution, "resolution", 2)
     step = resolution - 1
     axis = [i / step for i in range(resolution)]
@@ -259,6 +267,7 @@ def dominant_choice(v: UtilityMatrix) -> CChoice | None:
     C1 dominates when it beats C2 in both of S's rows (v11 > v12 and
     v21 > v22); symmetrically for C2.
     """
+    check_type(v, "v", UtilityMatrix)
     if v.v11 > v.v12 and v.v21 > v.v22:
         return CChoice.C1
     if v.v12 > v.v11 and v.v22 > v.v21:

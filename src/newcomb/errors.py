@@ -18,7 +18,7 @@ class GraphStructureError(NewcombError):
 
 
 class UnsupportedGraphError(GraphStructureError):
-    """The operation only supports the standard game graph."""
+    """The operation only supports graphs that unfold a plain chain."""
 
 
 class EntanglementViolationError(NewcombError):

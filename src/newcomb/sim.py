@@ -53,14 +53,15 @@ _DRAW_INCREMENT = 0xC2B2AE3D27D4EB4F  # odd step between draws within a trial
 
 def __getattr__(name: str):
     # OMEGA_ORDER, the oracle's visit order over the 7-node game graph, is
-    # read from the graph's timeline table on first use (PEP 562), so that
-    # importing sim does not load tlg.
+    # the oracle's timeline that tlg derives from the unfolded game chain.
+    # It is computed on first use (PEP 562), so that importing sim does
+    # not load tlg.
     if name != "OMEGA_ORDER":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .tlg import _TIMELINES, Player
+    from .tlg import Player, game_graph, player_timeline
 
     global OMEGA_ORDER
-    OMEGA_ORDER = _TIMELINES[Player.OMEGA]
+    OMEGA_ORDER = player_timeline(game_graph(), Player.OMEGA).sequence
     return OMEGA_ORDER
 
 
@@ -178,6 +179,8 @@ def play_once(
     fallibility shows up in S's response, which follows the predicted
     row only with the profiled accuracy.
     """
+    check_type(v, "v", UtilityMatrix)
+    check_type(p, "p", PredictorProfile)
     check_type(c_choice, "c_choice", CChoice)
     prediction = c_choice
     s1_prob = p.s1_probability(c_choice)
@@ -241,6 +244,8 @@ def standard_error(
     The per-trial utility is two-valued, so the mean's standard error
     is |v1j - v2j| * sqrt(q * (1 - q) / n) with q = P(S=S1|C=Cj).
     """
+    check_type(v, "v", UtilityMatrix)
+    check_type(p, "p", PredictorProfile)
     check_int(n, "n", 1)
     check_type(c_choice, "c_choice", CChoice)
     v1, v2 = v.column(c_choice)
@@ -266,6 +271,8 @@ def monte_carlo(
     result: the reported mean is bit-identical for any parallelism
     degree.
     """
+    check_type(v, "v", UtilityMatrix)
+    check_type(p, "p", PredictorProfile)
     check_int(n, "n", 1)
     check_int(parallelism, "parallelism", 1)
     check_int(first_trial, "first_trial", 0)

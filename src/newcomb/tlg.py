@@ -30,7 +30,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._validate import check_int, check_type
@@ -398,35 +398,45 @@ def game_graph() -> TLGraph:
     return unfold(base_chain(4), GAME_UNFOLD)
 
 
-@cache
-def _game_shape() -> tuple[tuple[EventNode, ...], frozenset[tuple[int, int]]]:
-    # nodes and edges of the standard game graph, built on first use
-    game = game_graph()
-    return game.nodes, game.edges
-
-
-_TIMELINES = {
-    Player.C: (1, 2, 3, 4),
-    Player.S: (1, 2, 6, 7),
-    Player.OMEGA: (1, 3, 5, 2, 6, 7),
-}
-
-
 def player_timeline(tlg: TLGraph, player: Player) -> Timeline:
-    """A player's walk through the standard game graph.
+    """A player's walk through an unfolded chain.
 
-    C sees the plain chain; S follows the answer into the copied
-    branch; the oracle runs ahead to C's choice, elaborates, comes
-    back, and then rides the copies. Only the standard game graph is
-    supported.
+    The graph must be unfold(base_chain(n), UnfoldSpec(n, k, m)) for
+    some n, k and m; they are read back from the original events and
+    the detour m -> E -> k through the elaboration node E = n+1. The
+    copies n+2 .. 2n+1-k carry the events after k. C walks the plain
+    chain 1..n; S walks 1..k, then follows the answer into the copies;
+    the oracle walks 1..k-1, runs ahead to m, elaborates in E, comes
+    back to k, and then rides the copies. On the standard game graph
+    these are (1, 2, 3, 4), (1, 2, 6, 7) and (1, 3, 5, 2, 6, 7).
+
+    Any other graph raises UnsupportedGraphError, and so does the
+    oracle at k = 1, where its walk would not start at event 1.
     """
     check_type(tlg, "graph", TLGraph)
     check_type(player, "player", Player)
-    if (tlg.nodes, tlg.edges) != _game_shape():
+    n = len(tlg.original_ids())
+    # the detour edges, sorted: (m, n+1) comes before (n+1, k) since m <= n
+    detour = sorted(edge for edge in tlg.edges if n + 1 in edge)
+    try:
+        (m, _), (_, k) = detour
+        spec = UnfoldSpec(n, k, m)
+    except ValueError:  # not two detour edges, or ValidationError from the spec
+        spec = None
+    if spec is None or tlg != unfold(base_chain(n), spec):
+        raise UnsupportedGraphError("timelines are only defined for an unfolded chain")
+    copies = range(n + 2, 2 * n + 2 - k)
+    if player is Player.C:
+        sequence = range(1, n + 1)
+    elif player is Player.S:
+        sequence = (*range(1, k + 1), *copies)
+    elif k == 1:
         raise UnsupportedGraphError(
-            "timelines are only defined for the standard game graph"
+            "the oracle's timeline needs k >= 2: at k = 1 it would not start at event 1"
         )
-    return Timeline(player=player, sequence=_TIMELINES[player])
+    else:
+        sequence = (*range(1, k), m, n + 1, k, *copies)
+    return Timeline(player=player, sequence=sequence)
 
 
 def _chain_skip_allowed(tlg: TLGraph, originals: set[int], a: int, b: int) -> bool:

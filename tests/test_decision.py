@@ -93,6 +93,22 @@ def test_payoff_lookup():
     assert CLASSIC.payoff(SChoice.S2, CChoice.C2) == 1_000_000.0
 
 
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        pytest.param(lambda: CLASSIC.payoff("S1", CChoice.C1), "s", id="payoff-s-string"),
+        pytest.param(lambda: CLASSIC.payoff(SChoice.S1, "C1"), "c", id="payoff-c-string"),
+        pytest.param(lambda: CLASSIC.payoff(SChoice.S1, SChoice.S1), "c", id="payoff-c-wrong-enum"),
+        pytest.param(lambda: CLASSIC.column("C1"), "c", id="column-string"),
+        pytest.param(lambda: PredictorProfile(0.9, 0.2).s1_probability("C1"), "c", id="s1-probability-string"),
+    ],
+)
+def test_choice_arguments_must_be_the_enums(call, field):
+    # Without the check, anything but the enum falls through to the other branch.
+    with pytest.raises(ValidationError, match=f"^{field} must be of type"):
+        call()
+
+
 # ── choose ─────────────────────────────────────────────────────────
 
 

@@ -18,12 +18,16 @@ from newcomb import (
     TrialTrace,
     UtilityMatrix,
     ValidationError,
+    choose,
     compare,
+    decision_boundary,
+    dominant_choice,
     expected_utilities,
     game_graph,
     monte_carlo,
     play_once,
     player_timeline,
+    region_grid,
     standard_error,
 )
 
@@ -262,6 +266,34 @@ def test_monte_carlo_rejects_bad_parallelism_and_rng():
         monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, 10, RngSpec(0), parallelism=0)
     with pytest.raises(ValidationError):
         monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, 10, rng=12345)
+
+
+_TABLE_AND_PROFILE_CALLS = {
+    "expected_utilities": (expected_utilities, "vp"),
+    "choose": (choose, "vp"),
+    "decision_boundary": (lambda v, p: decision_boundary(v), "v"),
+    "region_grid": (lambda v, p: region_grid(v, 3), "v"),
+    "dominant_choice": (lambda v, p: dominant_choice(v), "v"),
+    "standard_error": (lambda v, p: standard_error(v, p, CChoice.C1, 10), "vp"),
+    "play_once": (lambda v, p: play_once(v, p, CChoice.C1, StubStream([0.5])), "vp"),
+    "monte_carlo": (lambda v, p: monte_carlo(v, p, CChoice.C1, 10), "vp"),
+    "compare": (lambda v, p: compare(v, p, 10), "vp"),
+}
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        pytest.param(call, field, id=f"{name}-{field}")
+        for name, (call, fields) in _TABLE_AND_PROFILE_CALLS.items()
+        for field in fields
+    ],
+)
+def test_table_and_profile_arguments_must_have_their_types(call, field):
+    args = {"v": CLASSIC, "p": RANDOM_P, field: None}
+    kind = "UtilityMatrix" if field == "v" else "PredictorProfile"
+    with pytest.raises(ValidationError, match=f"^{field} must be of type {kind}"):
+        call(args["v"], args["p"])
 
 
 def test_conditional_frequency_converges():

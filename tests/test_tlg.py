@@ -398,7 +398,62 @@ def test_player_timeline_rejects_other_graphs():
     with pytest.raises(UnsupportedGraphError):
         player_timeline(base_chain(4), Player.C)
     with pytest.raises(UnsupportedGraphError):
-        player_timeline(unfold(base_chain(5), UnfoldSpec(5, 2, 3)), Player.OMEGA)
+        player_timeline(game_graph().with_entanglement([(3, 6)]), Player.C)
+    with pytest.raises(UnsupportedGraphError):
+        player_timeline(unfold(base_chain(5), UnfoldSpec(5, 1, 3)), Player.OMEGA)
+
+
+def _expected_walks(n, k, m):
+    """The walks restated from the story: copies of k+1..n are n+2..2n+1-k."""
+    copies = list(range(n + 2, 2 * n + 2 - k))
+    return {
+        Player.C: list(range(1, n + 1)),
+        Player.S: list(range(1, k + 1)) + copies,
+        Player.OMEGA: list(range(1, k)) + [m, n + 1, k] + copies,
+    }
+
+
+def _assert_timelines_follow_the_rule(n, k, m):
+    graph = unfold(base_chain(n), UnfoldSpec(n, k, m))
+    for player, walk in _expected_walks(n, k, m).items():
+        if player is Player.OMEGA and k == 1:
+            with pytest.raises(UnsupportedGraphError):
+                player_timeline(graph, player)
+            continue
+        timeline = player_timeline(graph, player)
+        assert list(timeline.sequence) == walk
+        assert validate_linearity(timeline, graph)
+        twists = detect_twist(timeline, graph)
+        if player is Player.OMEGA:
+            # only m comes early: before k and before the copies of k+1..m-1
+            assert twists == [(m, k)] + [(m, n + 1 + j - k) for j in range(k + 1, m)]
+        else:
+            assert twists == []
+
+
+def test_player_timelines_follow_the_rule_on_every_small_unfold():
+    count = 0
+    for n in range(2, 21):
+        for k in range(1, n):
+            for m in range(k + 1, n + 1):
+                _assert_timelines_follow_the_rule(n, k, m)
+                count += 1
+    assert count == 1330
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_player_timelines_follow_the_rule_on_long_chains(data):
+    n = data.draw(st.integers(2, 200))
+    k = data.draw(st.integers(1, n - 1))
+    m = data.draw(st.integers(k + 1, n))
+    _assert_timelines_follow_the_rule(n, k, m)
+
+
+def test_c_and_s_timelines_are_defined_at_k_1():
+    graph = unfold(base_chain(3), UnfoldSpec(3, 1, 2))
+    assert player_timeline(graph, Player.C).sequence == (1, 2, 3)
+    assert player_timeline(graph, Player.S).sequence == (1, 5, 6)
 
 
 def test_player_timeline_rejects_unknown_player():
