@@ -21,6 +21,7 @@ from typing import Iterable, Iterator
 from . import __version__
 from ._validate import UINT64_MAX, check_int, check_number, check_type
 from .decision import (
+    MAX_RESOLUTION,
     PredictorProfile,
     UtilityMatrix,
     choose,
@@ -66,7 +67,7 @@ class GameConfig:
         check_type(self.predictor, "predictor", PredictorProfile)
         check_int(self.trials, "trials", 1)
         check_int(self.seed, "seed", 0, UINT64_MAX)
-        check_int(self.resolution, "resolution", 2)
+        check_int(self.resolution, "resolution", 2, MAX_RESOLUTION)
         check_int(self.parallelism, "parallelism", 1)
 
     def to_dict(self) -> dict:
@@ -78,9 +79,6 @@ class GameConfig:
             "resolution": self.resolution,
             "parallelism": self.parallelism,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def parse_config(text: str) -> GameConfig:
@@ -173,8 +171,6 @@ def render_region_csv(config: GameConfig) -> str:
 
 def cmd_region(config: GameConfig, out_path: str) -> None:
     """Write the decision-region CSV to a file, one grid row at a time."""
-    # The grid is built and checked before the file is opened; the rows
-    # are then formatted as they are written, so memory stays O(resolution).
     _write_text(out_path, _region_lines(config))
 
 
@@ -226,11 +222,9 @@ def _load_config(args: argparse.Namespace) -> GameConfig:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {args.config} is not UTF-8: {exc}") from None
-    overrides = {
-        name: getattr(args, name)
-        for name in ("seed", "trials", "resolution", "parallelism")
-        if getattr(args, name) is not None
-    }
+    # Each subcommand defines an override flag only for the fields it reads.
+    names = {f.name for f in fields(GameConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in names and v is not None}
     return replace(parse_config(text), **overrides)
 
 
@@ -242,22 +236,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-        p.add_argument("--config", required=config_required, help="path to a JSON game configuration")
-        p.add_argument("--seed", type=int, default=None, help="override the configured seed")
-        p.add_argument("--trials", type=int, default=None, help="override the configured trial count")
-        p.add_argument("--resolution", type=int, default=None, help="override the grid resolution")
-        p.add_argument("--parallelism", type=int, default=None, help="override the worker count")
+    config_help = "path to a JSON game configuration"
 
     p_expected = sub.add_parser("expected", help="closed-form expected utilities and choice")
-    add_common(p_expected)
+    p_expected.add_argument("--config", required=True, help=config_help)
 
     p_region = sub.add_parser("region", help="decision-region grid as CSV")
-    add_common(p_region)
+    p_region.add_argument("--config", required=True, help=config_help)
     p_region.add_argument("--out", required=True, help="output CSV path")
+    p_region.add_argument("--resolution", type=int, help="override the grid resolution")
 
     p_graph = sub.add_parser("graph", help="time-lines graph as DOT")
-    add_common(p_graph, config_required=False)
+    p_graph.add_argument("--config", help=config_help + ", validated but not used")
     p_graph.add_argument("--out", required=True, help="output DOT path")
     p_graph.add_argument(
         "--base-chain-only",
@@ -266,7 +256,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_simulate = sub.add_parser("simulate", help="Monte Carlo comparison report")
-    add_common(p_simulate)
+    p_simulate.add_argument("--config", required=True, help=config_help)
+    p_simulate.add_argument("--seed", type=int, help="override the configured seed")
+    p_simulate.add_argument("--trials", type=int, help="override the configured trial count")
+    p_simulate.add_argument("--parallelism", type=int, help="override the worker count")
     return parser
 
 

@@ -48,6 +48,10 @@ __all__ = [
     "dominant_choice",
 ]
 
+# The largest grid resolution: its CSV already has 2^32 rows (56 GiB), and
+# setup to the first row grows with it (20 MB, 2 s; 325 MB, 30 s at 2^20).
+MAX_RESOLUTION = 1 << 16
+
 
 class CChoice(Enum):
     """C's move: take both boxes (C1) or only the opaque box (C2)."""
@@ -169,7 +173,7 @@ class RegionGrid:
     c1_spans: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        r = check_int(self.resolution, "resolution", 2)
+        r = check_int(self.resolution, "resolution", 2, MAX_RESOLUTION)
         if len(self.c1_spans) != r:
             raise ValidationError(f"grid must hold {r} C1 spans, got {len(self.c1_spans)}")
         for i, span in enumerate(self.c1_spans):
@@ -245,7 +249,7 @@ def region_grid(v: UtilityMatrix, resolution: int = 101) -> RegionGrid:
     in all instead of r^2 comparisons.
     """
     check_type(v, "v", UtilityMatrix)
-    check_int(resolution, "resolution", 2)
+    check_int(resolution, "resolution", 2, MAX_RESOLUTION)
     step = resolution - 1
     axis = [i / step for i in range(resolution)]
     u1 = [v.v21 + x * (v.v11 - v.v21) for x in axis]

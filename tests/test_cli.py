@@ -1,5 +1,6 @@
 """Tests for the command-line front end and its file formats."""
 
+import argparse
 import dataclasses
 import io
 import json
@@ -10,12 +11,13 @@ import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import newcomb
 from newcomb import ConfigError, PredictorProfile, UtilityMatrix, ValidationError, choose
 from newcomb.cli import (
     GameConfig,
+    _build_parser,
     _format_probability,
     cmd_expected,
     cmd_graph,
@@ -25,6 +27,7 @@ from newcomb.cli import (
     parse_config,
     render_region_csv,
 )
+from newcomb.decision import MAX_RESOLUTION
 
 CLASSIC_JSON = '{"utilities": [[10000, 0], [1010000, 1000000]], "predictor": [0.5, 0.5]}'
 
@@ -118,6 +121,7 @@ def test_parse_config_field_validation(fragment):
         ("seed", -1),
         ("seed", 1 << 64),
         ("resolution", 1),
+        ("resolution", MAX_RESOLUTION + 1),
         ("parallelism", 0),
         ("parallelism", True),
     ],
@@ -134,7 +138,7 @@ def test_config_round_trips_through_json():
         '{"utilities": [[1, 2], [3, 4]], "predictor": [0.25, 0.75],'
         ' "trials": 10, "seed": 7, "resolution": 4, "parallelism": 2}'
     )
-    assert parse_config(config.to_json()) == config
+    assert parse_config(json.dumps(config.to_dict())) == config
 
 
 # ── documents ──────────────────────────────────────────────────────
@@ -468,6 +472,100 @@ def test_cli_version_flag():
     assert "newcomb" in result.stdout
 
 
+# ── per-command flags ──────────────────────────────────────────────
+
+# Every flag each command accepts besides -h: 11 settable values in all.
+COMMAND_FLAGS = {
+    "expected": {"--config"},
+    "region": {"--config", "--out", "--resolution"},
+    "graph": {"--config", "--out", "--base-chain-only"},
+    "simulate": {"--config", "--seed", "--trials", "--parallelism"},
+}
+
+
+def test_each_command_defines_only_the_flags_it_reads():
+    parser = _build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {s for action in command._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, command in commands.items()
+    }
+    assert flags == COMMAND_FLAGS
+    assert sum(map(len, flags.values())) == 11
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--out", "{out}", "--seed", "-5"],
+        ["graph", "--out", "{out}", "--seed", "-5", "--parallelism", "0", "--trials", "-1"],
+        ["graph", "--config", "{config}", "--out", "{out}", "--resolution", "3"],
+        ["region", "--config", "{config}", "--out", "{out}", "--trials", "5"],
+        ["expected", "--config", "{config}", "--seed", "1"],
+        ["simulate", "--config", "{config}", "--resolution", "3"],
+    ],
+)
+def test_cli_flag_of_another_command_is_a_usage_error(tmp_path, argv):
+    config = tmp_path / "game.json"
+    config.write_text(CLASSIC_JSON)
+    out = tmp_path / "out.txt"
+    result = run_cli(*(arg.format(config=config, out=out) for arg in argv))
+    assert result.returncode == 2
+    assert "unrecognized arguments" in result.stderr
+    assert result.stdout == "" and not out.exists()
+
+
+def test_every_override_flag_replaces_the_configured_value(tmp_path):
+    config = tmp_path / "game.json"
+    document = {**json.loads(CLASSIC_JSON), "trials": 7, "seed": 1, "resolution": 5, "parallelism": 1}
+    config.write_text(json.dumps(document))
+    for resolution in (None, 3):
+        out = tmp_path / f"region-{resolution}.csv"
+        override = [] if resolution is None else ["--resolution", str(resolution)]
+        assert main(["region", "--config", str(config), "--out", str(out), *override]) == 0
+        assert len(out.read_text().splitlines()) == 1 + (resolution or 5) ** 2
+
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        argv = ["simulate", "--config", str(config), "--seed", "42", "--trials", "20", "--parallelism", "2"]
+        assert main(argv) == 0
+    doc = json.loads(stdout.getvalue())
+    replaced = dataclasses.replace(parse_config(json.dumps(document)), seed=42, trials=20, parallelism=2)
+    want = cmd_simulate(replaced)
+    assert doc["config"] == want["config"] == {**document, "seed": 42, "trials": 20, "parallelism": 2}
+    assert doc["numerical"] == want["numerical"]
+
+
+def test_cli_graph_validates_an_optional_config_it_does_not_use(tmp_path):
+    config = tmp_path / "game.json"
+    config.write_text(CLASSIC_JSON)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"utilities": [[1, 1], [1, 1]], "predictor": [1.5, 0]}')
+    plain, configured, rejected = (tmp_path / name for name in ("plain.dot", "configured.dot", "rejected.dot"))
+    assert main(["graph", "--out", str(plain)]) == 0
+    assert main(["graph", "--config", str(config), "--out", str(configured)]) == 0
+    assert configured.read_bytes() == plain.read_bytes()
+    with redirect_stderr(io.StringIO()) as stderr:
+        assert main(["graph", "--config", str(bad), "--out", str(rejected)]) == 2
+    assert stderr.getvalue().startswith("error: predictor[0]")
+    assert not rejected.exists()
+
+
+def test_cli_region_past_the_resolution_bound_exits_2(tmp_path):
+    # 10**10 used to end in a MemoryError traceback, or exhaust the host's memory.
+    config = tmp_path / "game.json"
+    config.write_text(json.dumps({**json.loads(CLASSIC_JSON), "resolution": 10**10}))
+    out = tmp_path / "region.csv"
+    result = run_cli("region", "--config", str(config), "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr == f"error: resolution must be <= {MAX_RESOLUTION}, got {10**10}\n"
+    assert not out.exists()
+    config.write_text(CLASSIC_JSON)
+    result = run_cli("region", "--config", str(config), "--out", str(out), "--resolution", str(MAX_RESOLUTION + 1))
+    assert result.returncode == 2 and "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 # ── fuzz property ──────────────────────────────────────────────────
 
 _PAST_64_BITS = st.integers(min_value=(1 << 64) + 1, max_value=1 << 80)
@@ -512,7 +610,7 @@ _CONFIG_VALUES = {
 _OVERRIDE_VALUES = {
     "trials": st.integers(-3, 10**4),
     "seed": st.one_of(st.integers(-3, (1 << 64) - 1), _PAST_64_BITS),
-    "resolution": st.integers(-3, 64),
+    "resolution": _mostly(st.integers(-3, 64), st.just(MAX_RESOLUTION + 1), 8),
     "parallelism": st.one_of(st.integers(-3, 8), _PAST_64_BITS),
 }
 
@@ -543,7 +641,9 @@ def _argvs(draw, config_path, out_dir):
     if command == "graph" and draw(st.booleans()):
         argv.append("--base-chain-only")
     for flag, values in _OVERRIDE_VALUES.items():
-        if draw(_mostly(st.just(False), st.just(True), 4)):
+        # mostly the command's own override flags, another command's now and then
+        one_in = 4 if f"--{flag}" in COMMAND_FLAGS[command] else 32
+        if draw(_mostly(st.just(False), st.just(True), one_in)):
             value = _mostly(values.map(str), st.sampled_from(["", "x", "1.5"]), 8)
             argv += [f"--{flag}", draw(value)]
     return argv
@@ -560,11 +660,7 @@ def test_cli_main_on_arbitrary_configs_and_argv(fuzz_dir, data):
     config_path = os.path.join(fuzz_dir, "game.json")
     document = data.draw(_config_documents(), label="config")
     argv = data.draw(_argvs(config_path, fuzz_dir), label="argv")
-    # A resolution past 2**64 is valid, and region would build a grid that size.
-    # Overrides stay <= 64, so only the configured value can be that large.
-    resolution = document.get("resolution") if isinstance(document, dict) else None
-    huge = type(resolution) is int and resolution > 64
-    assume(argv[0] != "region" or "--resolution" in argv or not huge)
+    foreign = {arg for arg in argv[1:] if arg.startswith("--")} - COMMAND_FLAGS[argv[0]]
     with open(config_path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(document))
 
@@ -575,7 +671,11 @@ def test_cli_main_on_arbitrary_configs_and_argv(fuzz_dir, data):
     except SystemExit as exc:  # argparse usage error
         assert exc.code == 2, (argv, stderr.getvalue())
         return
+    assert not foreign, argv
     assert code in (0, 2, 3), (argv, code)
+    resolution = document.get("resolution") if isinstance(document, dict) else None
+    if "--config" in argv and type(resolution) is int and resolution > MAX_RESOLUTION:
+        assert code == 2, argv
     if stdout.getvalue():
         strict_json(stdout.getvalue())
     if code != 0:

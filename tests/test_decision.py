@@ -20,6 +20,7 @@ from newcomb import (
     expected_utilities,
     region_grid,
 )
+from newcomb.decision import MAX_RESOLUTION
 
 CLASSIC = UtilityMatrix.classic()
 RTOL = 1e-9
@@ -280,7 +281,8 @@ def test_region_grid_classic_c2_region_is_upward_closed():
                     assert grid.choice_at(i, j + 1) is CChoice.C2
 
 
-@pytest.mark.parametrize("bad", [1, 0, -3, 2.0, "4"])
+# 10**10 used to exhaust memory before the bound was checked.
+@pytest.mark.parametrize("bad", [1, 0, -3, 2.0, "4", MAX_RESOLUTION + 1, 10**10])
 def test_region_grid_rejects_bad_resolution(bad):
     with pytest.raises(ValidationError):
         region_grid(CLASSIC, bad)
@@ -303,6 +305,7 @@ def test_region_grid_choice_at_rejects_indices_off_the_grid(i, j):
         (3, ((0, 3),) * 2),  # one row short
         (3, ((0,),) * 3),  # not a pair
         (1, ((0, 1),)),  # resolution below 2
+        (MAX_RESOLUTION + 1, ((0, 0),) * (MAX_RESOLUTION + 1)),  # resolution past the bound
     ],
 )
 def test_region_grid_rejects_malformed_spans(resolution, spans):
