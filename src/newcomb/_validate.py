@@ -45,6 +45,14 @@ def check_number(
     return x
 
 
+def as_tuple(items, name: str) -> tuple:
+    """The items of an iterable, as a tuple."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValidationError(f"{name} must be iterable, got {items!r}") from None
+
+
 def check_type(value, name: str, kind: type):
     """A value of the given type."""
     if not isinstance(value, kind):

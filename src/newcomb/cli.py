@@ -260,12 +260,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_simulate.add_argument("--seed", type=int, help="override the configured seed")
     p_simulate.add_argument("--trials", type=int, help="override the configured trial count")
     p_simulate.add_argument("--parallelism", type=int, help="override the worker count")
+    for command in sub.choices.values():
+        # A flag the given command does not take is reported with its own usage.
+        command.set_defaults(usage=command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        args.usage.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         if args.command == "expected":
             document = cmd_expected(_load_config(args))

@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
-from ._validate import check_int, check_number, check_type
+from ._validate import as_tuple, check_int, check_number, check_type
 from .errors import ValidationError
 
 __all__ = [
@@ -133,10 +133,6 @@ class PredictorProfile:
             object.__setattr__(self, name, check_number(getattr(self, name), name, 0, 1))
 
     @classmethod
-    def perfect(cls) -> "PredictorProfile":
-        return cls(1.0, 1.0)
-
-    @classmethod
     def random(cls) -> "PredictorProfile":
         return cls(0.5, 0.5)
 
@@ -166,7 +162,8 @@ class RegionGrid:
     U2 is monotone along a row, so each row chooses C1 on one run of
     columns: c1_spans[i] = (lo, hi) means C1 for lo <= j < hi and C2
     elsewhere, and either lo == 0 or hi == resolution. Built by
-    region_grid(); cells and choice_at() derive the per-cell view.
+    region_grid(); choice_at() looks up one cell. Any iterable of
+    pairs is stored as a tuple of (lo, hi) tuples.
     """
 
     resolution: int
@@ -174,9 +171,11 @@ class RegionGrid:
 
     def __post_init__(self) -> None:
         r = check_int(self.resolution, "resolution", 2, MAX_RESOLUTION)
-        if len(self.c1_spans) != r:
-            raise ValidationError(f"grid must hold {r} C1 spans, got {len(self.c1_spans)}")
-        for i, span in enumerate(self.c1_spans):
+        spans = as_tuple(self.c1_spans, "c1_spans")
+        if len(spans) != r:
+            raise ValidationError(f"grid must hold {r} C1 spans, got {len(spans)}")
+        pairs = []
+        for i, span in enumerate(spans):
             try:
                 lo, hi = span
             except (TypeError, ValueError):
@@ -185,23 +184,12 @@ class RegionGrid:
             check_int(hi, f"c1_spans[{i}] hi", lo, r)
             if lo != 0 and hi != r:
                 raise ValidationError(f"c1_spans[{i}] = {span!r} must start at 0 or end at {r}")
+            pairs.append((lo, hi))
+        object.__setattr__(self, "c1_spans", tuple(pairs))
 
     def axis_value(self, index: int) -> float:
         """Grid coordinate for an axis index (endpoints inclusive)."""
         return index / (self.resolution - 1)
-
-    @property
-    def cells(self) -> tuple[tuple[CChoice, ...], ...]:
-        """cells[i][j] is the choice at row i, column j.
-
-        Builds all resolution^2 cells on every access; choice_at() is the
-        per-cell lookup.
-        """
-        r = self.resolution
-        return tuple(
-            (CChoice.C2,) * lo + (CChoice.C1,) * (hi - lo) + (CChoice.C2,) * (r - hi)
-            for lo, hi in self.c1_spans
-        )
 
     def choice_at(self, i: int, j: int) -> CChoice:
         check_int(i, "i", 0, self.resolution - 1)

@@ -122,17 +122,6 @@ class TrialTrace:
                 "copied choice diverged from the original"
             )
 
-    def entries(self) -> tuple[tuple[int, object], ...]:
-        """(node id, resolved event) pairs in oracle order."""
-        return (
-            (1, "start"),
-            (3, self.c_choice),
-            (5, self.prediction),
-            (2, self.s_choice),
-            (6, self.entangled_c_choice),
-            (7, self.utility),
-        )
-
 
 @dataclass(frozen=True)
 class SimulationReport:
@@ -246,7 +235,7 @@ def standard_error(
     """
     check_type(v, "v", UtilityMatrix)
     check_type(p, "p", PredictorProfile)
-    check_int(n, "n", 1)
+    check_int(n, "n", 1, 1 << 64)
     check_type(c_choice, "c_choice", CChoice)
     v1, v2 = v.column(c_choice)
     q = p.s1_probability(c_choice)

@@ -33,7 +33,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from ._validate import check_int, check_type
+from ._validate import as_tuple, check_int, check_type
 from .errors import GraphStructureError, UnsupportedGraphError, ValidationError
 
 __all__ = [
@@ -98,13 +98,6 @@ class EventNode:
             check_int(self.copy_of, "copy_of", 1)
 
 
-def _as_tuple(items, name: str) -> tuple:
-    try:
-        return tuple(items)
-    except TypeError:
-        raise ValidationError(f"{name} must be iterable, got {items!r}") from None
-
-
 class _DisjointSet:
     # union-find with path compression; elements are node ids
     def __init__(self, elements: Iterable[int]):
@@ -147,7 +140,7 @@ class TLGraph:
     entanglement: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        nodes = _as_tuple(self.nodes, "nodes")
+        nodes = as_tuple(self.nodes, "nodes")
         by_id = {check_type(n, "node", EventNode).id: n for n in nodes}
         if len(by_id) != len(nodes):
             raise ValidationError("node ids must be unique")
@@ -217,9 +210,9 @@ class TLGraph:
         entangled_pairs: Iterable[tuple[int, int]] = (),
     ) -> "TLGraph":
         """Construct a graph, merging the given pairs into the partition."""
-        nodes = _as_tuple(nodes, "nodes")
+        nodes = as_tuple(nodes, "nodes")
         ds = _DisjointSet(check_type(n, "node", EventNode).id for n in nodes)
-        for pair in _as_tuple(entangled_pairs, "entangled pairs"):
+        for pair in as_tuple(entangled_pairs, "entangled pairs"):
             try:
                 a, b = pair
             except (TypeError, ValueError):
@@ -231,7 +224,7 @@ class TLGraph:
                 raise ValidationError(f"entangled pair ({a!r}, {b!r}) references unknown node") from None
         # An edge is an ordered pair, so only a tuple or a list is one;
         # tuple() turns a list edge into a tuple and returns a tuple as it is.
-        edges = _as_tuple(edges, "edges")
+        edges = as_tuple(edges, "edges")
         for kind in set(map(type, edges)):
             if not issubclass(kind, (tuple, list)):
                 raise ValidationError(f"every edge must be a tuple or list (u, v), not {kind.__name__}")
@@ -256,10 +249,6 @@ class TLGraph:
             out[u].append(v)
         return {u: tuple(vs) for u, vs in out.items()}
 
-    @cached_property
-    def _class_of(self) -> dict[int, frozenset[int]]:
-        return {i: cls for cls in self.entanglement for i in cls}
-
     def node(self, node_id: int) -> EventNode:
         try:
             return self._by_id[node_id]
@@ -269,10 +258,6 @@ class TLGraph:
     def successors(self, node_id: int) -> tuple[int, ...]:
         self.node(node_id)
         return self._successors[node_id]
-
-    def entangled_class(self, node_id: int) -> frozenset[int]:
-        self.node(node_id)
-        return self._class_of[node_id]
 
     @property
     def nontrivial_classes(self) -> tuple[frozenset[int], ...]:
@@ -297,7 +282,7 @@ class Timeline:
 
     def __post_init__(self) -> None:
         check_type(self.player, "player", Player)
-        object.__setattr__(self, "sequence", _as_tuple(self.sequence, "timeline"))
+        object.__setattr__(self, "sequence", as_tuple(self.sequence, "timeline"))
 
 
 @dataclass(frozen=True)
@@ -461,7 +446,7 @@ def _chain_skip_allowed(tlg: TLGraph, originals: set[int], a: int, b: int) -> bo
 def _as_sequence(timeline: Timeline | Sequence[int]) -> tuple[int, ...]:
     if isinstance(timeline, Timeline):
         return timeline.sequence
-    return _as_tuple(timeline, "timeline")
+    return as_tuple(timeline, "timeline")
 
 
 def validate_linearity(timeline: Timeline | Sequence[int], tlg: TLGraph) -> bool:

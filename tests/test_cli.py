@@ -36,6 +36,8 @@ _SRC = os.path.dirname(os.path.dirname(os.path.abspath(newcomb.__file__)))
 CHILD_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))),
+    # pytest's filterwarnings does not reach child interpreters
+    "PYTHONWARNINGS": "error",
 }
 
 
@@ -511,6 +513,7 @@ def test_cli_flag_of_another_command_is_a_usage_error(tmp_path, argv):
     out = tmp_path / "out.txt"
     result = run_cli(*(arg.format(config=config, out=out) for arg in argv))
     assert result.returncode == 2
+    assert f"usage: newcomb {argv[0]} " in result.stderr
     assert "unrecognized arguments" in result.stderr
     assert result.stdout == "" and not out.exists()
 

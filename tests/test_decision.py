@@ -236,7 +236,7 @@ def test_region_grid_classic_landmarks():
     assert grid.choice_at(100, 100) is CChoice.C2  # perfect predictor corner
     assert grid.choice_at(50, 50) is CChoice.C1  # random predictor center
     assert grid.resolution == 101
-    assert sum(len(row) for row in grid.cells) == 101 * 101
+    assert len(grid.c1_spans) == 101
 
 
 def test_region_grid_minimal_resolution_corners():
@@ -249,7 +249,7 @@ def test_region_grid_minimal_resolution_corners():
 
 def test_region_grid_all_zero_matrix_is_all_c1():
     grid = region_grid(UtilityMatrix(0.0, 0.0, 0.0, 0.0), 5)
-    assert all(cell is CChoice.C1 for row in grid.cells for cell in row)
+    assert grid.c1_spans == ((0, 5),) * 5
 
 
 def test_region_grid_matches_choose_pointwise():
@@ -306,6 +306,9 @@ def test_region_grid_choice_at_rejects_indices_off_the_grid(i, j):
         (3, ((0,),) * 3),  # not a pair
         (1, ((0, 1),)),  # resolution below 2
         (MAX_RESOLUTION + 1, ((0, 0),) * (MAX_RESOLUTION + 1)),  # resolution past the bound
+        (2, 5),  # not iterable
+        (2, ((0, 2) for _ in range(3))),  # a generator of one span too many
+        (2, [(0, 2), 7]),  # a span that is not iterable
     ],
 )
 def test_region_grid_rejects_malformed_spans(resolution, spans):
@@ -315,11 +318,16 @@ def test_region_grid_rejects_malformed_spans(resolution, spans):
 
 def test_region_grid_accepts_prefix_and_suffix_spans():
     grid = RegionGrid(3, ((0, 0), (0, 2), (1, 3)))
-    assert grid.cells == (
+    assert tuple(tuple(grid.choice_at(i, j) for j in range(3)) for i in range(3)) == (
         (CChoice.C2, CChoice.C2, CChoice.C2),
         (CChoice.C1, CChoice.C1, CChoice.C2),
         (CChoice.C2, CChoice.C1, CChoice.C1),
     )
+    # spans given as lists or by a generator are stored as tuples
+    listed = RegionGrid(3, [[0, 0], [0, 2], [1, 3]])
+    assert listed == grid and hash(listed) == hash(grid)
+    assert listed.c1_spans == ((0, 0), (0, 2), (1, 3))
+    assert RegionGrid(3, iter(grid.c1_spans)) == grid
 
 
 def test_region_grid_axis_endpoints_inclusive():

@@ -119,12 +119,11 @@ def test_play_once_consumes_exactly_one_draw():
 
 def test_play_once_resolves_in_oracle_order():
     trace = play_once(CLASSIC, RANDOM_P, CChoice.C1, StubStream([0.1]))
-    entries = trace.entries()
-    assert tuple(node for node, _ in entries) == OMEGA_ORDER
-    assert entries[1][1] is CChoice.C1  # node 3: C's choice
-    assert entries[2][1] is CChoice.C1  # node 5: prediction
-    assert entries[4][1] is CChoice.C1  # node 6: entangled copy
-    assert entries[5][1] == trace.utility
+    assert trace.c_choice is CChoice.C1  # node 3: C's choice
+    assert trace.prediction is CChoice.C1  # node 5: prediction
+    assert trace.s_choice is SChoice.S1  # node 2: S's response to the 0.1 draw
+    assert trace.entangled_c_choice is CChoice.C1  # node 6: entangled copy
+    assert trace.utility == CLASSIC.payoff(trace.s_choice, CChoice.C1)  # node 7
 
 
 def test_omega_order_matches_the_graph_timeline():
@@ -238,10 +237,16 @@ def test_monte_carlo_report_fields():
     assert report.elapsed_seconds >= 0.0
 
 
-@pytest.mark.parametrize("n", [0, -5, 2.0])
+@pytest.mark.parametrize(
+    "n", [0, -5, 2.0, pytest.param(2**64 + 1, id="2**64+1"), pytest.param(10**400, id="10**400")]
+)
 def test_monte_carlo_rejects_bad_trial_count(n):
     with pytest.raises(ValidationError):
         monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, n, RngSpec(0))
+    # standard_error bounds n by the same 2^64 trial indices, so a huge n
+    # is rejected, not overflowed in the float division
+    with pytest.raises(ValidationError):
+        standard_error(CLASSIC, RANDOM_P, CChoice.C1, n)
 
 
 @pytest.mark.parametrize("first_trial, n", [(1 << 64, 1), ((1 << 64) - 5, 10)])
