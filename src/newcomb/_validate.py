@@ -14,15 +14,32 @@ from .errors import ValidationError
 # The largest unsigned 64-bit integer: the bound of seeds and trial indices.
 UINT64_MAX = (1 << 64) - 1
 
+# The most characters of a caller's value that an error message shows.
+_SHOWN_CHARS = 80
+
+
+def show(value) -> str:
+    """A caller's value for an error message: its repr, cut to _SHOWN_CHARS.
+
+    repr() of an int past the interpreter's int-to-str digit limit, or of
+    a container holding one, raises ValueError; such a value is shown by
+    its type alone, so no message can fail to format.
+    """
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too large to show>"
+    return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
+
 
 def check_int(value, name: str, minimum: int, maximum: int | None = None) -> int:
     """An int (not a bool) in [minimum, maximum]; no upper bound when maximum is None."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {show(value)}")
     if value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+        raise ValidationError(f"{name} must be >= {minimum}, got {show(value)}")
     if maximum is not None and value > maximum:
-        raise ValidationError(f"{name} must be <= {maximum}, got {value}")
+        raise ValidationError(f"{name} must be <= {maximum}, got {show(value)}")
     return value
 
 
@@ -31,17 +48,17 @@ def check_number(
 ) -> float:
     """A finite int or float (not a bool) in [minimum, maximum], as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
+        raise ValidationError(f"{name} must be a number, got {show(value)}")
     try:
         x = float(value)
     except OverflowError:
         raise ValidationError(f"{name} must be finite, got an integer too large for a float") from None
     if not math.isfinite(x):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
+        raise ValidationError(f"{name} must be finite, got {show(value)}")
     if minimum is not None and x < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+        raise ValidationError(f"{name} must be >= {minimum}, got {show(value)}")
     if maximum is not None and x > maximum:
-        raise ValidationError(f"{name} must be <= {maximum}, got {value!r}")
+        raise ValidationError(f"{name} must be <= {maximum}, got {show(value)}")
     return x
 
 
@@ -50,11 +67,11 @@ def as_tuple(items, name: str) -> tuple:
     try:
         return tuple(items)
     except TypeError:
-        raise ValidationError(f"{name} must be iterable, got {items!r}") from None
+        raise ValidationError(f"{name} must be iterable, got {show(items)}") from None
 
 
 def check_type(value, name: str, kind: type):
     """A value of the given type."""
     if not isinstance(value, kind):
-        raise ValidationError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        raise ValidationError(f"{name} must be of type {kind.__name__}, got {show(value)}")
     return value

@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
-from ._validate import as_tuple, check_int, check_number, check_type
+from ._validate import as_tuple, check_int, check_number, check_type, show
 from .errors import ValidationError
 
 __all__ = [
@@ -95,7 +95,7 @@ class UtilityMatrix:
         try:
             (v11, v12), (v21, v22) = rows
         except (TypeError, ValueError):
-            raise ValidationError(f"utilities must be a 2x2 table, got {rows!r}") from None
+            raise ValidationError(f"utilities must be a 2x2 table, got {show(rows)}") from None
         return cls(v11=v11, v12=v12, v21=v21, v22=v22)
 
     def as_rows(self) -> list[list[float]]:
@@ -179,11 +179,11 @@ class RegionGrid:
             try:
                 lo, hi = span
             except (TypeError, ValueError):
-                raise ValidationError(f"c1_spans[{i}] must be a pair (lo, hi), got {span!r}") from None
+                raise ValidationError(f"c1_spans[{i}] must be a pair (lo, hi), got {show(span)}") from None
             check_int(lo, f"c1_spans[{i}] lo", 0, r)
             check_int(hi, f"c1_spans[{i}] hi", lo, r)
             if lo != 0 and hi != r:
-                raise ValidationError(f"c1_spans[{i}] = {span!r} must start at 0 or end at {r}")
+                raise ValidationError(f"c1_spans[{i}] = {show(span)} must start at 0 or end at {r}")
             pairs.append((lo, hi))
         object.__setattr__(self, "c1_spans", tuple(pairs))
 

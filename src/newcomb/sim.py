@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from itertools import repeat
 
-from ._validate import UINT64_MAX, check_int, check_number, check_type
+from ._validate import UINT64_MAX, check_int, check_number, check_type, show
 from .decision import CChoice, PredictorProfile, SChoice, UtilityMatrix, expected_utilities
 from .errors import EntanglementViolationError, ValidationError
 
@@ -267,7 +267,7 @@ def monte_carlo(
     check_int(first_trial, "first_trial", 0)
     if first_trial + n > 1 << 64:
         raise ValidationError(
-            f"trial indices must fit in 64 unsigned bits, got first_trial={first_trial}, n={n}"
+            f"trial indices must fit in 64 unsigned bits, got first_trial={show(first_trial)}, n={show(n)}"
         )
     check_type(c_choice, "c_choice", CChoice)
     check_type(rng, "rng", RngSpec)

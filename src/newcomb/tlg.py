@@ -33,7 +33,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from ._validate import as_tuple, check_int, check_type
+from ._validate import as_tuple, check_int, check_type, show
 from .errors import GraphStructureError, UnsupportedGraphError, ValidationError
 
 __all__ = [
@@ -124,7 +124,7 @@ class _DisjointSet:
         groups: dict[int, set[int]] = {}
         for e in self.parent:
             groups.setdefault(self.find(e), set()).add(e)
-        return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+        return tuple(map(frozenset, groups.values()))
 
 
 @dataclass(frozen=True)
@@ -149,27 +149,30 @@ class TLGraph:
                 original = by_id.get(node.copy_of)
                 if original is None:
                     raise ValidationError(
-                        f"node {node.id} copies unknown node {node.copy_of}"
+                        f"node {show(node.id)} copies unknown node {show(node.copy_of)}"
                     )
                 if original.kind is not node.kind:
                     raise ValidationError(
-                        f"copy {node.id} must share its original's kind"
+                        f"copy {show(node.id)} must share its original's kind"
                     )
+        # An edge is an ordered pair, so only a tuple or a list is one;
+        # tuple() turns a list edge into a tuple and returns a tuple as it is.
+        edges = as_tuple(self.edges, "edges")
+        for kind in set(map(type, edges)):
+            if not issubclass(kind, (tuple, list)):
+                raise ValidationError(f"every edge must be a tuple or list (u, v), not {kind.__name__}")
         try:
-            edges = frozenset(self.edges)
+            edges = frozenset(map(tuple, edges))
         except TypeError:
-            raise ValidationError("edges must be a set of (u, v) tuples") from None
+            raise ValidationError("every edge must be a pair (u, v) of node ids") from None
         for edge in edges:
-            if not isinstance(edge, tuple):
-                raise ValidationError(f"edge {edge!r} must be a tuple (u, v)")
-            try:
-                u, v = edge
-            except (TypeError, ValueError):
-                raise ValidationError(f"edge {edge!r} must be a pair (u, v)") from None
+            if len(edge) != 2:
+                raise ValidationError(f"edge {show(edge)} must be a pair (u, v)")
+            u, v = edge
             if u not in by_id or v not in by_id:
-                raise ValidationError(f"edge ({u}, {v}) references unknown node")
+                raise ValidationError(f"edge {show(edge)} references unknown node")
             if u == v:
-                raise ValidationError(f"self-loop on node {u}")
+                raise ValidationError(f"self-loop on node {show(u)}")
         object.__setattr__(self, "nodes", tuple(sorted(nodes, key=lambda n: n.id)))
         object.__setattr__(self, "edges", edges)
 
@@ -187,7 +190,7 @@ class TLGraph:
         if covered != by_id.keys():
             unknown = covered - by_id.keys()
             if unknown:
-                raise ValidationError(f"entanglement has unknown ids {set(unknown)}")
+                raise ValidationError(f"entanglement has unknown ids {show(unknown)}")
             raise ValidationError("entanglement must partition the node-id set")
         for cls in classes:
             if len(cls) == 1:
@@ -197,7 +200,7 @@ class TLGraph:
             for i in members:
                 if by_id[i].kind is not kind:
                     raise ValidationError(
-                        f"entanglement class {set(cls)} mixes kinds"
+                        f"entanglement class {show(set(cls))} mixes kinds"
                         f" {kind.value} and {by_id[i].kind.value}"
                     )
         object.__setattr__(self, "entanglement", classes)
@@ -209,29 +212,16 @@ class TLGraph:
         edges: Iterable[tuple[int, int]],
         entangled_pairs: Iterable[tuple[int, int]] = (),
     ) -> "TLGraph":
-        """Construct a graph, merging the given pairs into the partition."""
+        """Construct a graph, merging the given pairs into the partition; TLGraph checks the edges."""
         nodes = as_tuple(nodes, "nodes")
         ds = _DisjointSet(check_type(n, "node", EventNode).id for n in nodes)
         for pair in as_tuple(entangled_pairs, "entangled pairs"):
+            # wrong length: ValueError; not iterable or unhashable: TypeError; unknown: KeyError
             try:
                 a, b = pair
-            except (TypeError, ValueError):
-                raise ValidationError(f"entangled pair {pair!r} must be a pair (a, b)") from None
-            # an unknown id raises KeyError in find(), an unhashable one TypeError
-            try:
                 ds.union(a, b)
-            except (KeyError, TypeError):
-                raise ValidationError(f"entangled pair ({a!r}, {b!r}) references unknown node") from None
-        # An edge is an ordered pair, so only a tuple or a list is one;
-        # tuple() turns a list edge into a tuple and returns a tuple as it is.
-        edges = as_tuple(edges, "edges")
-        for kind in set(map(type, edges)):
-            if not issubclass(kind, (tuple, list)):
-                raise ValidationError(f"every edge must be a tuple or list (u, v), not {kind.__name__}")
-        try:
-            edges = frozenset(map(tuple, edges))
-        except TypeError:
-            raise ValidationError("every edge must be a pair (u, v) of node ids") from None
+            except (KeyError, TypeError, ValueError):
+                raise ValidationError(f"entangled pair {show(pair)} must be two known node ids") from None
         return cls(nodes=nodes, edges=edges, entanglement=ds.classes())
 
     def with_entanglement(self, pairs: Iterable[tuple[int, int]]) -> "TLGraph":
@@ -253,7 +243,7 @@ class TLGraph:
         try:
             return self._by_id[node_id]
         except (KeyError, TypeError):
-            raise ValidationError(f"unknown node id {node_id}") from None
+            raise ValidationError(f"unknown node id {show(node_id)}") from None
 
     def successors(self, node_id: int) -> tuple[int, ...]:
         self.node(node_id)
@@ -302,11 +292,14 @@ class UnfoldSpec:
             check_int(getattr(self, name), name, 1)
         if not self.k < self.m <= self.n:
             raise ValidationError(
-                f"need 1 <= k < m <= n, got n={self.n}, k={self.k}, m={self.m}"
+                f"need 1 <= k < m <= n, got n={show(self.n)}, k={show(self.k)}, m={show(self.m)}"
             )
 
 
 GAME_UNFOLD = UnfoldSpec(n=4, k=2, m=3)
+
+# The longest chain base_chain builds; with unfold that takes about 1 s and 100 MB.
+MAX_CHAIN_LENGTH = 1 << 16
 
 
 def base_chain(n: int) -> TLGraph:
@@ -315,7 +308,7 @@ def base_chain(n: int) -> TLGraph:
     A length-4 chain gets the game's event kinds; any other length is
     a generic action list.
     """
-    check_int(n, "chain length", 1)
+    check_int(n, "chain length", 1, MAX_CHAIN_LENGTH)
     kinds = _GAME_CHAIN_KINDS if n == 4 else (EventKind.GENERIC,) * n
     nodes = tuple(EventNode(id=i + 1, kind=kinds[i]) for i in range(n))
     edges = frozenset((i, i + 1) for i in range(1, n))
@@ -324,16 +317,14 @@ def base_chain(n: int) -> TLGraph:
 
 
 def _require_chain(graph: TLGraph, n: int) -> None:
-    ids = sorted(node.id for node in graph.nodes)
-    if ids != list(range(1, n + 1)):
-        raise GraphStructureError(f"expected a chain with ids 1..{n}, got {ids}")
-    expected_edges = {(i, i + 1) for i in range(1, n)}
-    if set(graph.edges) != expected_edges:
+    # sizes first: the spec's n can be far larger than any graph
+    if len(graph.nodes) != n:
+        raise GraphStructureError(f"expected a chain of {show(n)} events, got {len(graph.nodes)}")
+    if graph.original_ids() != tuple(range(1, n + 1)):
+        raise GraphStructureError(f"expected the original events 1..{n}, with no copy or elaboration")
+    if graph.edges != frozenset(zip(range(1, n), range(2, n + 1))):
         raise GraphStructureError("input graph is not a chain")
-    for node in graph.nodes:
-        if node.copy_of is not None or node.kind is EventKind.ELABORATION:
-            raise GraphStructureError("input chain was already unfolded")
-    if any(len(cls) > 1 for cls in graph.entanglement):
+    if graph.nontrivial_classes:
         raise GraphStructureError("input chain must carry no entanglement")
 
 
@@ -579,7 +570,7 @@ def detect_twist(
             continue
         base_id = node.copy_of if node.copy_of is not None else node.id
         if base_id not in position:
-            raise ValidationError(f"node {node_id} has no position in the base order")
+            raise ValidationError(f"node {show(node_id)} has no position in the base order")
         mapped.append((node_id, position[base_id]))
 
     # later_min[i] is the least base position after i; an i whose own

@@ -86,7 +86,9 @@ def test_base_chain_three_nodes_is_generic():
     assert all(n.kind is EventKind.GENERIC for n in chain.nodes)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.5, "3"])
+@pytest.mark.parametrize(
+    "bad", [0, -1, 2.5, "3", 2**16 + 1, 2**63, pytest.param(10**5000, id="10**5000")]
+)
 def test_base_chain_rejects_bad_length(bad):
     with pytest.raises(ValidationError):
         base_chain(bad)
@@ -161,6 +163,10 @@ def test_unfold_rejects_non_chain_input():
 def test_unfold_rejects_length_mismatch():
     with pytest.raises(GraphStructureError):
         unfold(base_chain(3), GAME_UNFOLD)
+    with pytest.raises(GraphStructureError):
+        unfold(base_chain(4), UnfoldSpec(10**12, 2, 3))
+    with pytest.raises(GraphStructureError, match="too large to show"):
+        unfold(base_chain(4), UnfoldSpec(10**5000, 2, 3))
 
 
 def test_unfold_rejects_pre_entangled_chain():
@@ -282,6 +288,10 @@ def test_graph_rejects_copy_with_different_kind():
 _TWO_NODES = [EventNode(1, EventKind.GENERIC), EventNode(2, EventKind.GENERIC)]
 
 
+def _direct(edges, entanglement=(frozenset({1}), frozenset({2}))):
+    return TLGraph(nodes=tuple(_TWO_NODES), edges=edges, entanglement=entanglement)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -300,6 +310,14 @@ _TWO_NODES = [EventNode(1, EventKind.GENERIC), EventNode(2, EventKind.GENERIC)]
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [frozenset({1, 2})]), id="edge-as-frozenset"),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [{1: 0, 2: 0}]), id="edge-as-dict"),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, 5), id="edges-not-iterable"),
+        pytest.param(lambda: _direct([(1,)]), id="direct-edge-of-one"),
+        pytest.param(lambda: _direct([(1, 2, 3)]), id="direct-edge-of-three"),
+        pytest.param(lambda: _direct([[1]]), id="direct-list-edge-of-one"),
+        pytest.param(lambda: _direct([[1, 2, 3]]), id="direct-list-edge-of-three"),
+        pytest.param(lambda: _direct([5]), id="direct-edge-not-a-sequence"),
+        pytest.param(lambda: _direct([{1, 2}]), id="direct-edge-as-set"),
+        pytest.param(lambda: _direct([{1: 0, 2: 0}]), id="direct-edge-as-dict"),
+        pytest.param(lambda: _direct(5), id="direct-edges-not-iterable"),
         pytest.param(
             lambda: TLGraph(
                 nodes=tuple(_TWO_NODES),
@@ -379,9 +397,15 @@ def test_graph_argument_must_be_a_tlgraph(call):
 
 def test_list_edges_build_the_same_graph_as_tuple_edges():
     want = TLGraph.build(_TWO_NODES, [(1, 2)], [(1, 2)])
-    assert TLGraph.build(_TWO_NODES, [[1, 2]], [[1, 2]]) == want
-    assert TLGraph.build(_TWO_NODES, {(1, 2)}, [(1, 2)]) == want
-    assert TLGraph.build(_TWO_NODES, iter([[1, 2]]), [(1, 2)]) == want
+    for got in (
+        TLGraph.build(_TWO_NODES, [[1, 2]], [[1, 2]]),
+        TLGraph.build(_TWO_NODES, {(1, 2)}, [(1, 2)]),
+        TLGraph.build(_TWO_NODES, iter([[1, 2]]), [(1, 2)]),
+        _direct([[1, 2]], [{1, 2}]),
+        _direct(iter([[1, 2]]), [{1, 2}]),
+    ):
+        assert got == want
+        assert hash(got) == hash(want)
 
 
 # ── player_timeline ────────────────────────────────────────────────
