@@ -22,6 +22,10 @@ For the standard game (chain of 4, answer delivered at 2, inspecting
 5 and the copies of 3 and 4 are 6 and 7.
 
 Graphs are immutable once built; every function here is pure.
+
+TLGraph(...), TLGraph.build and with_entanglement check all they are
+given. base_chain, unfold and entanglement_closure skip that check: from
+checked arguments they build graphs valid by construction (see unfold).
 """
 
 from __future__ import annotations
@@ -96,6 +100,21 @@ class EventNode:
         check_type(self.kind, "node kind", EventKind)
         if self.copy_of is not None:
             check_int(self.copy_of, "copy_of", 1)
+
+
+# Only base_chain, unfold and entanglement_closure build through _node and
+# _graph, which skip __post_init__: each passes fields it checked or derived,
+# in the form __post_init__ would store. Fields are set as the dataclass
+# __init__ sets them; filling __dict__ instead would double a node's size.
+_set = object.__setattr__
+
+
+def _node(id: int, kind: EventKind, copy_of: int | None = None) -> EventNode:
+    node = object.__new__(EventNode)
+    _set(node, "id", id)
+    _set(node, "kind", kind)
+    _set(node, "copy_of", copy_of)
+    return node
 
 
 class _DisjointSet:
@@ -212,11 +231,16 @@ class TLGraph:
         edges: Iterable[tuple[int, int]],
         entangled_pairs: Iterable[tuple[int, int]] = (),
     ) -> "TLGraph":
-        """Construct a graph, merging the given pairs into the partition; TLGraph checks the edges."""
+        """Construct a graph, merging the given pairs into the partition; TLGraph checks the edges.
+
+        A pair, like an edge, is a tuple or a list of two known node ids.
+        """
         nodes = as_tuple(nodes, "nodes")
         ds = _DisjointSet(check_type(n, "node", EventNode).id for n in nodes)
         for pair in as_tuple(entangled_pairs, "entangled pairs"):
-            # wrong length: ValueError; not iterable or unhashable: TypeError; unknown: KeyError
+            if not isinstance(pair, (tuple, list)):
+                raise ValidationError(f"entangled pair {show(pair)} must be a tuple or list of two node ids")
+            # wrong length: ValueError; unhashable: TypeError; unknown: KeyError
             try:
                 a, b = pair
                 ds.union(a, b)
@@ -256,11 +280,23 @@ class TLGraph:
 
     def original_ids(self) -> tuple[int, ...]:
         """Ids of base-chain events: not copies, not elaborations."""
+        return self._original_ids
+
+    @cached_property
+    def _original_ids(self) -> tuple[int, ...]:
         return tuple(
             n.id
             for n in self.nodes
             if n.copy_of is None and n.kind is not EventKind.ELABORATION
         )
+
+
+def _graph(nodes, edges, entanglement) -> TLGraph:
+    graph = object.__new__(TLGraph)
+    _set(graph, "nodes", nodes)
+    _set(graph, "edges", edges)
+    _set(graph, "entanglement", entanglement)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -310,10 +346,10 @@ def base_chain(n: int) -> TLGraph:
     """
     check_int(n, "chain length", 1, MAX_CHAIN_LENGTH)
     kinds = _GAME_CHAIN_KINDS if n == 4 else (EventKind.GENERIC,) * n
-    nodes = tuple(EventNode(id=i + 1, kind=kinds[i]) for i in range(n))
+    nodes = tuple(_node(i + 1, kinds[i]) for i in range(n))
     edges = frozenset((i, i + 1) for i in range(1, n))
     singletons = tuple(frozenset((i,)) for i in range(1, n + 1))
-    return TLGraph(nodes=nodes, edges=edges, entanglement=singletons)
+    return _graph(nodes, edges, singletons)
 
 
 def _require_chain(graph: TLGraph, n: int) -> None:
@@ -341,6 +377,9 @@ def unfold(chain: TLGraph, spec: UnfoldSpec) -> TLGraph:
     * the elaboration node is m's only successor of its kind;
     * k is a singleton, so its two successors k+1 and copy of k+1 stay
       apart.
+
+    The nodes come out sorted by id and the classes by their least
+    member, as TLGraph stores them, so the graph is built unchecked.
     """
     check_type(chain, "chain", TLGraph)
     check_type(spec, "spec", UnfoldSpec)
@@ -350,7 +389,7 @@ def unfold(chain: TLGraph, spec: UnfoldSpec) -> TLGraph:
     elaboration = n + 1
     # the copy of event j is n+1+j-k; chain.nodes[k:] are events k+1..n
     copies = tuple(
-        EventNode(id=n + 1 + j - k, kind=node.kind, copy_of=j)
+        _node(n + 1 + j - k, node.kind, j)
         for j, node in enumerate(chain.nodes[k:], k + 1)
     )
     edges = chain.edges.union(
@@ -362,11 +401,8 @@ def unfold(chain: TLGraph, spec: UnfoldSpec) -> TLGraph:
         *(frozenset((j, n + 1 + j - k)) for j in range(k + 1, n + 1)),
         frozenset((elaboration,)),
     )
-    return TLGraph(
-        nodes=(*chain.nodes, EventNode(id=elaboration, kind=EventKind.ELABORATION), *copies),
-        edges=edges,
-        entanglement=entanglement,
-    )
+    nodes = (*chain.nodes, _node(elaboration, EventKind.ELABORATION), *copies)
+    return _graph(nodes, edges, entanglement)
 
 
 def game_graph() -> TLGraph:
@@ -418,14 +454,15 @@ def player_timeline(tlg: TLGraph, player: Player) -> Timeline:
 def _chain_skip_allowed(tlg: TLGraph, originals: set[int], a: int, b: int) -> bool:
     # A walk may fast-forward along base-chain edges (the oracle's jump
     # into the future); any other non-edge hop is invalid. originals is
-    # set(tlg.original_ids()).
+    # set(tlg.original_ids()), so a and b are known ids.
     if a not in originals or b not in originals:
         return False
+    successors = tlg._successors
     frontier = deque([a])
     seen = {a}
     while frontier:
         u = frontier.popleft()
-        for v in tlg.successors(u):
+        for v in successors[u]:
             if v == b:
                 return True
             if v in originals and v not in seen:
@@ -477,10 +514,11 @@ def is_chain(tlg: TLGraph) -> bool:
     sources = [i for i, d in in_deg.items() if d == 0]
     if len(sources) != 1:
         return False
+    successors = tlg._successors
     visited = 1
     current = sources[0]
-    while tlg.successors(current):
-        current = tlg.successors(current)[0]
+    while successors[current]:
+        current = successors[current][0]
         visited += 1
     return visited == n
 
@@ -508,7 +546,8 @@ def entanglement_closure(tlg: TLGraph) -> TLGraph:
 
     unfold does not call it: the partition unfold builds is already
     closed. The closure serves graphs built by hand, for example with
-    TLGraph.build or with_entanglement.
+    TLGraph.build or with_entanglement. It keeps tlg's nodes and edges
+    and merges only same-kind classes, so its result is built unchecked.
     """
     check_type(tlg, "graph", TLGraph)
     kind = {node.id: node.kind for node in tlg.nodes}
@@ -540,7 +579,8 @@ def entanglement_closure(tlg: TLGraph) -> TLGraph:
             worklist.extend((rep, c) for c in our_successors[1:])
             worklist.extend((rep, c) for c in their_successors)
             ours[k] = [rep]
-    return TLGraph(nodes=tlg.nodes, edges=tlg.edges, entanglement=ds.classes())
+    classes = tuple(sorted(ds.classes(), key=min))
+    return _graph(tlg.nodes, tlg.edges, classes)
 
 
 def detect_twist(

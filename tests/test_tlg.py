@@ -1,5 +1,7 @@
 """Unit tests for the time-lines graph model."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -226,14 +228,17 @@ def test_unfold_builds_one_graph_without_the_closure(monkeypatch):
 
     monkeypatch.setattr(tlg_module, "entanglement_closure", forbidden)
     monkeypatch.setattr(tlg_module, "_DisjointSet", forbidden)
+    # both build valid graphs by construction: no checked constructor runs
+    monkeypatch.setattr(TLGraph, "__post_init__", forbidden)
+    monkeypatch.setattr(EventNode, "__post_init__", forbidden)
     built = []
-    check = TLGraph.__post_init__
+    unchecked_graph = tlg_module._graph
 
-    def counting_post_init(self):
-        built.append(self)
-        check(self)
+    def counting_graph(*fields):
+        built.append(unchecked_graph(*fields))
+        return built[-1]
 
-    monkeypatch.setattr(TLGraph, "__post_init__", counting_post_init)
+    monkeypatch.setattr(tlg_module, "_graph", counting_graph)
     with pytest.raises(AssertionError):
         TLGraph.build(_TWO_NODES, [])  # the patch bites on the build path
     for n, k, m in [(2, 1, 2), (4, 2, 3), (40, 9, 23)]:
@@ -243,6 +248,39 @@ def test_unfold_builds_one_graph_without_the_closure(monkeypatch):
         built.clear()
         unfolded = unfold(chain, UnfoldSpec(n, k, m))
         assert len(built) == 1 and built[0] is unfolded
+
+
+def _assert_equals_checked_rebuild(graph):
+    """A graph built unchecked equals the checked constructor's rebuild of it."""
+    rebuilt = TLGraph(nodes=graph.nodes, edges=graph.edges, entanglement=graph.entanglement)
+    for field in ("nodes", "edges", "entanglement"):
+        ours, theirs = getattr(graph, field), getattr(rebuilt, field)
+        assert type(ours) is type(theirs) and ours == theirs
+    for node in graph.nodes:
+        assert vars(node) == vars(EventNode(node.id, node.kind, node.copy_of))
+    assert graph == rebuilt and hash(graph) == hash(rebuilt)
+
+
+def test_library_graphs_equal_their_checked_rebuild_for_every_small_spec():
+    count = 0
+    for n in range(1, 31):
+        chain = base_chain(n)
+        _assert_equals_checked_rebuild(chain)
+        for k in range(1, n):
+            for m in range(k + 1, n + 1):
+                _assert_equals_checked_rebuild(unfold(chain, UnfoldSpec(n, k, m)))
+                count += 1
+    assert count == 4495  # n = 4 among them: the game's kinds and the game graph
+
+
+def test_dot_bytes_of_every_unfold_up_to_n_40_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(2, 41):
+        chain = base_chain(n)
+        for k in range(1, n):
+            for m in range(k + 1, n + 1):
+                digest.update(to_dot(unfold(chain, UnfoldSpec(n, k, m))).encode())
+    assert digest.hexdigest() == "cebdd52d740c01dea691856e9a95ea764b7563f0f8680effc99d2cb8624616bf"
 
 
 # ── graph validation ───────────────────────────────────────────────
@@ -371,6 +409,12 @@ def _direct(edges, entanglement=(frozenset({1}), frozenset({2}))):
         pytest.param(lambda: Timeline(Player.C, 5), id="timeline-not-iterable"),
         pytest.param(lambda: Timeline("C", [1]), id="timeline-player-not-a-player"),
         pytest.param(lambda: detect_twist([[1]], game_graph()), id="twist-unhashable-id"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [{1: "x", 2: "y"}]), id="pair-as-dict"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [{1, 2}]), id="pair-as-set"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [frozenset({1, 2})]), id="pair-as-frozenset"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [range(1, 3)]), id="pair-as-range"),
+        pytest.param(lambda: base_chain(2).with_entanglement([{1: "x", 2: "y"}]), id="with-pair-as-dict"),
+        pytest.param(lambda: base_chain(2).with_entanglement([{1, 2}]), id="with-pair-as-set"),
     ],
 )
 def test_malformed_graph_input_raises_validation_error(make):
@@ -598,6 +642,12 @@ def small_entangled_graphs(draw):
 @given(g=small_entangled_graphs())
 def test_closure_matches_brute_force_on_random_graphs(g):
     assert set(entanglement_closure(g).entanglement) == brute_force_closure(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=small_entangled_graphs())
+def test_closure_equals_its_checked_rebuild_on_random_graphs(g):
+    _assert_equals_checked_rebuild(entanglement_closure(g))
 
 
 def _generic_graph(n, edges, pairs):
