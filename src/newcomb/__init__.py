@@ -23,13 +23,13 @@ _EXPORTS = {
             "dominant_choice",
         )),
         ("tlg", (
-            "EventKind", "Player", "EventNode", "TLGraph", "Timeline", "UnfoldSpec",
+            "EventKind", "Player", "EventNode", "TLGraph", "UnfoldSpec", "OMEGA_ORDER",
             "GAME_UNFOLD", "base_chain", "unfold", "game_graph", "player_timeline",
             "validate_linearity", "entanglement_closure", "detect_twist", "is_chain", "to_dot",
         )),
         ("sim", (
-            "OMEGA_ORDER", "TrialStream", "RngSpec", "TrialTrace", "SimulationReport",
-            "ComparisonTable", "play_once", "monte_carlo", "standard_error", "compare",
+            "TrialStream", "RngSpec", "TrialTrace", "SimulationReport", "ComparisonTable",
+            "play_once", "monte_carlo", "standard_error", "compare",
         )),
         ("errors", (
             "NewcombError", "ValidationError", "ConfigError", "GraphStructureError",

@@ -1,8 +1,9 @@
 """Oracle-frame simulation of the game, single plays and Monte Carlo.
 
 A play cannot be simulated in C's or S's own event order without a
-real oracle. It can be simulated in the oracle's order, which visits
-the events as 1, 3, 5, 2, 6, 7: C's choice is resolved first, the
+real oracle. It can be simulated in the oracle's order, its walk through
+the game graph (OMEGA_ORDER, defined with the graph), which visits the
+events as 1, 3, 5, 2, 6, 7: C's choice is resolved first, the
 prediction is elaborated from it, S responds (faithfully to the
 prediction with the profiled accuracy), and the copied events just
 replay the entangled outcomes.
@@ -34,7 +35,6 @@ from .decision import CChoice, PredictorProfile, SChoice, UtilityMatrix, expecte
 from .errors import EntanglementViolationError, ValidationError
 
 __all__ = [
-    "OMEGA_ORDER",
     "TrialStream",
     "RngSpec",
     "TrialTrace",
@@ -49,20 +49,6 @@ __all__ = [
 _MASK64 = UINT64_MAX
 _TRIAL_INCREMENT = 0x9E3779B97F4A7C15  # golden-ratio Weyl step between trials
 _DRAW_INCREMENT = 0xC2B2AE3D27D4EB4F  # odd step between draws within a trial
-
-
-def __getattr__(name: str):
-    # OMEGA_ORDER, the oracle's visit order over the 7-node game graph, is
-    # the oracle's timeline that tlg derives from the unfolded game chain.
-    # It is computed on first use (PEP 562), so that importing sim does
-    # not load tlg.
-    if name != "OMEGA_ORDER":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .tlg import Player, game_graph, player_timeline
-
-    global OMEGA_ORDER
-    OMEGA_ORDER = player_timeline(game_graph(), Player.OMEGA).sequence
-    return OMEGA_ORDER
 
 
 def _mix64(x: int) -> int:

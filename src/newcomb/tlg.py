@@ -45,13 +45,13 @@ __all__ = [
     "Player",
     "EventNode",
     "TLGraph",
-    "Timeline",
     "UnfoldSpec",
     "GAME_UNFOLD",
     "base_chain",
     "unfold",
     "game_graph",
     "player_timeline",
+    "OMEGA_ORDER",
     "validate_linearity",
     "entanglement_closure",
     "detect_twist",
@@ -190,6 +190,10 @@ class TLGraph:
             u, v = edge
             if u not in by_id or v not in by_id:
                 raise ValidationError(f"edge {show(edge)} references unknown node")
+            # a bool or a float equal to a node id is found in by_id, but
+            # EventNode would not take it as an id
+            check_int(u, "edge endpoint", 1)
+            check_int(v, "edge endpoint", 1)
             if u == v:
                 raise ValidationError(f"self-loop on node {show(u)}")
         object.__setattr__(self, "nodes", tuple(sorted(nodes, key=lambda n: n.id)))
@@ -211,6 +215,8 @@ class TLGraph:
             if unknown:
                 raise ValidationError(f"entanglement has unknown ids {show(unknown)}")
             raise ValidationError("entanglement must partition the node-id set")
+        for i in covered:
+            check_int(i, "entanglement member", 1)
         for cls in classes:
             if len(cls) == 1:
                 continue
@@ -240,10 +246,11 @@ class TLGraph:
         for pair in as_tuple(entangled_pairs, "entangled pairs"):
             if not isinstance(pair, (tuple, list)):
                 raise ValidationError(f"entangled pair {show(pair)} must be a tuple or list of two node ids")
-            # wrong length: ValueError; unhashable: TypeError; unknown: KeyError
+            # wrong length or not an int: ValueError (ValidationError is one);
+            # unhashable: TypeError; unknown: KeyError
             try:
                 a, b = pair
-                ds.union(a, b)
+                ds.union(check_int(a, "pair member", 1), check_int(b, "pair member", 1))
             except (KeyError, TypeError, ValueError):
                 raise ValidationError(f"entangled pair {show(pair)} must be two known node ids") from None
         return cls(nodes=nodes, edges=edges, entanglement=ds.classes())
@@ -297,18 +304,6 @@ def _graph(nodes, edges, entanglement) -> TLGraph:
     _set(graph, "edges", edges)
     _set(graph, "entanglement", entanglement)
     return graph
-
-
-@dataclass(frozen=True)
-class Timeline:
-    """One player's ordered walk through the graph."""
-
-    player: Player
-    sequence: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        check_type(self.player, "player", Player)
-        object.__setattr__(self, "sequence", as_tuple(self.sequence, "timeline"))
 
 
 @dataclass(frozen=True)
@@ -392,10 +387,14 @@ def unfold(chain: TLGraph, spec: UnfoldSpec) -> TLGraph:
         _node(n + 1 + j - k, node.kind, j)
         for j, node in enumerate(chain.nodes[k:], k + 1)
     )
-    edges = chain.edges.union(
-        ((m, elaboration), (elaboration, k), (k, n + 2)),
-        ((c, c + 1) for c in range(n + 2, 2 * n + 1 - k)),
-    )
+    # one build: a frozenset grown by union keeps a table twice this size
+    edges = frozenset((
+        *chain.edges,
+        (m, elaboration),
+        (elaboration, k),
+        (k, n + 2),
+        *zip(range(n + 2, 2 * n + 1 - k), range(n + 3, 2 * n + 2 - k)),
+    ))
     entanglement = (
         *(frozenset((j,)) for j in range(1, k + 1)),
         *(frozenset((j, n + 1 + j - k)) for j in range(k + 1, n + 1)),
@@ -410,8 +409,8 @@ def game_graph() -> TLGraph:
     return unfold(base_chain(4), GAME_UNFOLD)
 
 
-def player_timeline(tlg: TLGraph, player: Player) -> Timeline:
-    """A player's walk through an unfolded chain.
+def player_timeline(tlg: TLGraph, player: Player) -> tuple[int, ...]:
+    """A player's walk through an unfolded chain, as a tuple of node ids.
 
     The graph must be unfold(base_chain(n), UnfoldSpec(n, k, m)) for
     some n, k and m; they are read back from the original events and
@@ -439,16 +438,18 @@ def player_timeline(tlg: TLGraph, player: Player) -> Timeline:
         raise UnsupportedGraphError("timelines are only defined for an unfolded chain")
     copies = range(n + 2, 2 * n + 2 - k)
     if player is Player.C:
-        sequence = range(1, n + 1)
-    elif player is Player.S:
-        sequence = (*range(1, k + 1), *copies)
-    elif k == 1:
+        return tuple(range(1, n + 1))
+    if player is Player.S:
+        return (*range(1, k + 1), *copies)
+    if k == 1:
         raise UnsupportedGraphError(
             "the oracle's timeline needs k >= 2: at k = 1 it would not start at event 1"
         )
-    else:
-        sequence = (*range(1, k), m, n + 1, k, *copies)
-    return Timeline(player=player, sequence=sequence)
+    return (*range(1, k), m, n + 1, k, *copies)
+
+
+# The oracle's walk on the game graph, the order sim resolves a play in.
+OMEGA_ORDER = player_timeline(game_graph(), Player.OMEGA)
 
 
 def _chain_skip_allowed(tlg: TLGraph, originals: set[int], a: int, b: int) -> bool:
@@ -471,20 +472,14 @@ def _chain_skip_allowed(tlg: TLGraph, originals: set[int], a: int, b: int) -> bo
     return False
 
 
-def _as_sequence(timeline: Timeline | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(timeline, Timeline):
-        return timeline.sequence
-    return as_tuple(timeline, "timeline")
-
-
-def validate_linearity(timeline: Timeline | Sequence[int], tlg: TLGraph) -> bool:
+def validate_linearity(timeline: Sequence[int], tlg: TLGraph) -> bool:
     """Check that a walk is chain-shaped: distinct nodes, valid hops.
 
     A hop is valid when it is a graph edge or a forward jump along the
     base chain. Returns False on any violation; unknown node ids raise.
     """
     check_type(tlg, "graph", TLGraph)
-    sequence = _as_sequence(timeline)
+    sequence = as_tuple(timeline, "timeline")
     for node_id in sequence:
         tlg.node(node_id)
     if not sequence or len(set(sequence)) != len(sequence):
@@ -499,28 +494,20 @@ def validate_linearity(timeline: Timeline | Sequence[int], tlg: TLGraph) -> bool
 def is_chain(tlg: TLGraph) -> bool:
     """True iff the whole graph is a single path from one source to one sink."""
     check_type(tlg, "graph", TLGraph)
-    n = len(tlg.nodes)
-    if n == 0:
+    targets = {v for _, v in tlg.edges}
+    sources = [node.id for node in tlg.nodes if node.id not in targets]
+    if len(sources) != 1 or len(tlg.edges) != len(tlg.nodes) - 1:
         return False
-    if len(tlg.edges) != n - 1:
-        return False
-    out_deg = {node.id: 0 for node in tlg.nodes}
-    in_deg = {node.id: 0 for node in tlg.nodes}
-    for u, v in tlg.edges:
-        out_deg[u] += 1
-        in_deg[v] += 1
-    if any(d > 1 for d in out_deg.values()) or any(d > 1 for d in in_deg.values()):
-        return False
-    sources = [i for i, d in in_deg.items() if d == 0]
-    if len(sources) != 1:
-        return False
+    # The n-1 other nodes each have an incoming edge and there are n-1
+    # edges, so each has exactly one: the walk never reaches a node twice,
+    # and at a branch it leaves the other successor unreached.
     successors = tlg._successors
     visited = 1
     current = sources[0]
     while successors[current]:
         current = successors[current][0]
         visited += 1
-    return visited == n
+    return visited == len(tlg.nodes)
 
 
 def entanglement_closure(tlg: TLGraph) -> TLGraph:
@@ -584,7 +571,7 @@ def entanglement_closure(tlg: TLGraph) -> TLGraph:
 
 
 def detect_twist(
-    timeline: Timeline | Sequence[int],
+    timeline: Sequence[int],
     tlg: TLGraph,
     base_order: Sequence[int] | None = None,
 ) -> list[tuple[int, int]]:
@@ -595,7 +582,7 @@ def detect_twist(
     visited before b but a's base event comes causally after b's.
     """
     check_type(tlg, "graph", TLGraph)
-    sequence = _as_sequence(timeline)
+    sequence = as_tuple(timeline, "timeline")
     if base_order is None:
         base_order = tlg.original_ids()
     try:

@@ -60,7 +60,6 @@ def _two_nodes():
             ),
             id="monte_carlo",
         ),
-        pytest.param(lambda: newcomb.Timeline(newcomb.Player.C, _HUGE), id="Timeline"),
         pytest.param(lambda: newcomb.detect_twist(_HUGE, newcomb.game_graph()), id="detect_twist"),
         pytest.param(lambda: newcomb.game_graph().node(_HUGE), id="TLGraph.node"),
         pytest.param(

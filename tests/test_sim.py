@@ -127,7 +127,7 @@ def test_play_once_resolves_in_oracle_order():
 
 
 def test_omega_order_matches_the_graph_timeline():
-    assert OMEGA_ORDER == player_timeline(game_graph(), Player.OMEGA).sequence
+    assert OMEGA_ORDER == player_timeline(game_graph(), Player.OMEGA) == (1, 3, 5, 2, 6, 7)
 
 
 def test_trace_rejects_divergent_entangled_copy():

@@ -1,6 +1,7 @@
 """Unit tests for the time-lines graph model."""
 
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,6 @@ from newcomb import (
     EventNode,
     GraphStructureError,
     Player,
-    Timeline,
     TLGraph,
     UnfoldSpec,
     UnsupportedGraphError,
@@ -406,8 +406,6 @@ def _direct(edges, entanglement=(frozenset({1}), frozenset({2}))):
         pytest.param(lambda: detect_twist(5, game_graph()), id="twist-walk-not-iterable"),
         pytest.param(lambda: detect_twist([1], game_graph(), 5), id="twist-base-order-not-iterable"),
         pytest.param(lambda: detect_twist([1], game_graph(), [[1]]), id="twist-base-order-unhashable"),
-        pytest.param(lambda: Timeline(Player.C, 5), id="timeline-not-iterable"),
-        pytest.param(lambda: Timeline("C", [1]), id="timeline-player-not-a-player"),
         pytest.param(lambda: detect_twist([[1]], game_graph()), id="twist-unhashable-id"),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [{1: "x", 2: "y"}]), id="pair-as-dict"),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [{1, 2}]), id="pair-as-set"),
@@ -415,6 +413,11 @@ def _direct(edges, entanglement=(frozenset({1}), frozenset({2}))):
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [range(1, 3)]), id="pair-as-range"),
         pytest.param(lambda: base_chain(2).with_entanglement([{1: "x", 2: "y"}]), id="with-pair-as-dict"),
         pytest.param(lambda: base_chain(2).with_entanglement([{1, 2}]), id="with-pair-as-set"),
+        # equal to a node id, but not an int: the DOT would print True or 1.0
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [(True, 2)]), id="edge-with-bool-endpoint"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [(1, 2.0)]), id="edge-with-float-endpoint"),
+        pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [(1.0, 2)]), id="pair-with-float-member"),
+        pytest.param(lambda: _direct([(1, 2)], [{1.0, 2}]), id="class-with-float-member"),
     ],
 )
 def test_malformed_graph_input_raises_validation_error(make):
@@ -452,14 +455,20 @@ def test_list_edges_build_the_same_graph_as_tuple_edges():
         assert hash(got) == hash(want)
 
 
+def test_unfold_builds_its_edge_set_in_one_go():
+    # a frozenset grown by union keeps a table about twice this size
+    g = unfold(base_chain(384), UnfoldSpec(384, 100, 200))
+    assert sys.getsizeof(g.edges) == sys.getsizeof(frozenset(list(g.edges)))
+
+
 # ── player_timeline ────────────────────────────────────────────────
 
 
 def test_player_timelines_match_the_game_story():
     g = game_graph()
-    assert player_timeline(g, Player.C).sequence == (1, 2, 3, 4)
-    assert player_timeline(g, Player.S).sequence == (1, 2, 6, 7)
-    assert player_timeline(g, Player.OMEGA).sequence == (1, 3, 5, 2, 6, 7)
+    assert player_timeline(g, Player.C) == (1, 2, 3, 4)
+    assert player_timeline(g, Player.S) == (1, 2, 6, 7)
+    assert player_timeline(g, Player.OMEGA) == (1, 3, 5, 2, 6, 7)
 
 
 def test_player_timeline_rejects_other_graphs():
@@ -489,7 +498,7 @@ def _assert_timelines_follow_the_rule(n, k, m):
                 player_timeline(graph, player)
             continue
         timeline = player_timeline(graph, player)
-        assert list(timeline.sequence) == walk
+        assert list(timeline) == walk
         assert validate_linearity(timeline, graph)
         twists = detect_twist(timeline, graph)
         if player is Player.OMEGA:
@@ -520,8 +529,8 @@ def test_player_timelines_follow_the_rule_on_long_chains(data):
 
 def test_c_and_s_timelines_are_defined_at_k_1():
     graph = unfold(base_chain(3), UnfoldSpec(3, 1, 2))
-    assert player_timeline(graph, Player.C).sequence == (1, 2, 3)
-    assert player_timeline(graph, Player.S).sequence == (1, 5, 6)
+    assert player_timeline(graph, Player.C) == (1, 2, 3)
+    assert player_timeline(graph, Player.S) == (1, 5, 6)
 
 
 def test_player_timeline_rejects_unknown_player():
@@ -558,6 +567,52 @@ def test_chains_are_linear_and_chain_shaped():
     assert validate_linearity([1, 2, 3, 4], chain)
     assert is_chain(chain)
     assert is_chain(base_chain(1))
+
+
+def _is_chain_by_degrees(tlg):
+    """Reference: every in- and out-degree at most 1, one source, all nodes reached."""
+    n = len(tlg.nodes)
+    if n == 0 or len(tlg.edges) != n - 1:
+        return False
+    out_deg = {node.id: 0 for node in tlg.nodes}
+    in_deg = {node.id: 0 for node in tlg.nodes}
+    for u, v in tlg.edges:
+        out_deg[u] += 1
+        in_deg[v] += 1
+    if any(d > 1 for d in out_deg.values()) or any(d > 1 for d in in_deg.values()):
+        return False
+    sources = [i for i, d in in_deg.items() if d == 0]
+    if len(sources) != 1:
+        return False
+    visited = 1
+    current = sources[0]
+    while tlg.successors(current):
+        current = tlg.successors(current)[0]
+        visited += 1
+    return visited == n
+
+
+@st.composite
+def small_digraphs(draw):
+    """Graphs of 1-6 nodes: random edges, half of them XORed onto a random chain."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(1, n + 1)))
+    edges = set(zip(order, order[1:])) if draw(st.booleans()) else set()
+    ids = st.integers(1, n)
+    edges ^= {(u, v) for u, v in draw(st.sets(st.tuples(ids, ids), max_size=n)) if u != v}
+    return _generic_graph(n, edges, [])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(g=small_digraphs())
+def test_is_chain_matches_the_degree_count(g):
+    assert is_chain(g) == _is_chain_by_degrees(g)
+
+
+def test_is_chain_rejects_a_chain_plus_a_cycle():
+    # one source and n-1 edges, but 3 and 4 form a cycle the walk never reaches
+    assert not is_chain(_generic_graph(4, [(1, 2), (3, 4), (4, 3)], []))
+    assert not is_chain(TLGraph.build([], []))
 
 
 def test_empty_walk_is_not_linear():
@@ -805,8 +860,3 @@ def test_game_graph_node_two_is_the_bottleneck():
     out_deg = sum(1 for u, _ in g.edges if u == 2)
     in_deg = sum(1 for _, v in g.edges if v == 2)
     assert out_deg == 2 and in_deg == 2
-
-
-def test_timeline_sequence_is_frozen_tuple():
-    t = Timeline(Player.C, [1, 2, 3])
-    assert t.sequence == (1, 2, 3)
