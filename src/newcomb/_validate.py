@@ -14,6 +14,9 @@ from .errors import ValidationError
 # The largest unsigned 64-bit integer: the bound of seeds and trial indices.
 UINT64_MAX = (1 << 64) - 1
 
+# The most trials per choice: sim.compare's two batches use indices [0, 2n).
+MAX_TRIALS = 1 << 63
+
 # The most characters of a caller's value that an error message shows.
 _SHOWN_CHARS = 80
 

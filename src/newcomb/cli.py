@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from . import __version__
-from ._validate import UINT64_MAX, check_int, check_number, check_type
+from ._validate import MAX_TRIALS, UINT64_MAX, check_int, check_number, check_type
 from .decision import (
     MAX_RESOLUTION,
     PredictorProfile,
@@ -65,7 +65,7 @@ class GameConfig:
     def __post_init__(self) -> None:
         check_type(self.utilities, "utilities", UtilityMatrix)
         check_type(self.predictor, "predictor", PredictorProfile)
-        check_int(self.trials, "trials", 1)
+        check_int(self.trials, "trials", 1, MAX_TRIALS)
         check_int(self.seed, "seed", 0, UINT64_MAX)
         check_int(self.resolution, "resolution", 2, MAX_RESOLUTION)
         check_int(self.parallelism, "parallelism", 1)

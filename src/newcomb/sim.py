@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from itertools import repeat
 
-from ._validate import UINT64_MAX, check_int, check_number, check_type, show
+from ._validate import MAX_TRIALS, UINT64_MAX, check_int, check_number, check_type, show
 from .decision import CChoice, PredictorProfile, SChoice, UtilityMatrix, expected_utilities
 from .errors import EntanglementViolationError, ValidationError
 
@@ -305,7 +305,7 @@ def compare(
     """
     # Both batches' indices must fit in 64 unsigned bits; checking n here
     # rejects a too-large n before the C1 batch runs, not after it.
-    check_int(n, "n", 1, 1 << 63)
+    check_int(n, "n", 1, MAX_TRIALS)
     return ComparisonTable(
         c1=monte_carlo(v, p, CChoice.C1, n, rng, parallelism, first_trial=0),
         c2=monte_carlo(v, p, CChoice.C2, n, rng, parallelism, first_trial=n),

@@ -117,6 +117,24 @@ def _node(id: int, kind: EventKind, copy_of: int | None = None) -> EventNode:
     return node
 
 
+def _known_ids(ids, values, name: str) -> None:
+    """Raise ValidationError unless each value is an int, not a bool, and a key of ids."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int) or value not in ids:
+            raise ValidationError(f"{name} must be an int id of a node in the graph, got {show(value)}")
+
+
+def _id_pairs(items, name: str, ids) -> list[tuple[int, int]]:
+    """The items as tuples; each must be an ordered pair, a tuple or list, of two known ids."""
+    pairs = []
+    for item in as_tuple(items, f"{name}s"):
+        if not isinstance(item, (tuple, list)) or len(item) != 2:
+            raise ValidationError(f"{name} must be a tuple or list of two node ids, got {show(item)}")
+        pairs.append(tuple(item))
+    _known_ids(ids, (i for pair in pairs for i in pair), f"{name} member")
+    return pairs
+
+
 class _DisjointSet:
     # union-find with path compression; elements are node ids
     def __init__(self, elements: Iterable[int]):
@@ -174,49 +192,19 @@ class TLGraph:
                     raise ValidationError(
                         f"copy {show(node.id)} must share its original's kind"
                     )
-        # An edge is an ordered pair, so only a tuple or a list is one;
-        # tuple() turns a list edge into a tuple and returns a tuple as it is.
-        edges = as_tuple(self.edges, "edges")
-        for kind in set(map(type, edges)):
-            if not issubclass(kind, (tuple, list)):
-                raise ValidationError(f"every edge must be a tuple or list (u, v), not {kind.__name__}")
-        try:
-            edges = frozenset(map(tuple, edges))
-        except TypeError:
-            raise ValidationError("every edge must be a pair (u, v) of node ids") from None
-        for edge in edges:
-            if len(edge) != 2:
-                raise ValidationError(f"edge {show(edge)} must be a pair (u, v)")
-            u, v = edge
-            if u not in by_id or v not in by_id:
-                raise ValidationError(f"edge {show(edge)} references unknown node")
-            # a bool or a float equal to a node id is found in by_id, but
-            # EventNode would not take it as an id
-            check_int(u, "edge endpoint", 1)
-            check_int(v, "edge endpoint", 1)
+        edges = frozenset(_id_pairs(self.edges, "edge", by_id))
+        for u, v in edges:
             if u == v:
                 raise ValidationError(f"self-loop on node {show(u)}")
         object.__setattr__(self, "nodes", tuple(sorted(nodes, key=lambda n: n.id)))
         object.__setattr__(self, "edges", edges)
 
-        # frozenset() of a non-iterable class or an unhashable member
-        # raises TypeError, min() of an empty class ValueError
-        try:
-            classes = tuple(sorted(map(frozenset, self.entanglement), key=min))
-        except (TypeError, ValueError):
-            raise ValidationError(
-                "entanglement must be an iterable of non-empty sets of node ids"
-            ) from None
-        covered = set().union(*classes)
-        if sum(map(len, classes)) != len(covered):
-            raise ValidationError("entanglement classes must be disjoint")
-        if covered != by_id.keys():
-            unknown = covered - by_id.keys()
-            if unknown:
-                raise ValidationError(f"entanglement has unknown ids {show(unknown)}")
-            raise ValidationError("entanglement must partition the node-id set")
-        for i in covered:
-            check_int(i, "entanglement member", 1)
+        classes = [as_tuple(c, "entanglement class") for c in as_tuple(self.entanglement, "entanglement")]
+        members = [i for cls in classes for i in cls]
+        _known_ids(by_id, members, "entanglement member")
+        if not all(classes) or len(members) != len(by_id) or set(members) != by_id.keys():
+            raise ValidationError("entanglement must partition the node-id set into non-empty classes")
+        classes = tuple(sorted(map(frozenset, classes), key=min))
         for cls in classes:
             if len(cls) == 1:
                 continue
@@ -243,16 +231,8 @@ class TLGraph:
         """
         nodes = as_tuple(nodes, "nodes")
         ds = _DisjointSet(check_type(n, "node", EventNode).id for n in nodes)
-        for pair in as_tuple(entangled_pairs, "entangled pairs"):
-            if not isinstance(pair, (tuple, list)):
-                raise ValidationError(f"entangled pair {show(pair)} must be a tuple or list of two node ids")
-            # wrong length or not an int: ValueError (ValidationError is one);
-            # unhashable: TypeError; unknown: KeyError
-            try:
-                a, b = pair
-                ds.union(check_int(a, "pair member", 1), check_int(b, "pair member", 1))
-            except (KeyError, TypeError, ValueError):
-                raise ValidationError(f"entangled pair {show(pair)} must be two known node ids") from None
+        for a, b in _id_pairs(entangled_pairs, "entangled pair", ds.parent):
+            ds.union(a, b)
         return cls(nodes=nodes, edges=edges, entanglement=ds.classes())
 
     def with_entanglement(self, pairs: Iterable[tuple[int, int]]) -> "TLGraph":
@@ -271,10 +251,9 @@ class TLGraph:
         return {u: tuple(vs) for u, vs in out.items()}
 
     def node(self, node_id: int) -> EventNode:
-        try:
-            return self._by_id[node_id]
-        except (KeyError, TypeError):
-            raise ValidationError(f"unknown node id {show(node_id)}") from None
+        """The node with this int id; any other id, True or 1.0 included, raises ValidationError."""
+        _known_ids(self._by_id, (node_id,), "node_id")
+        return self._by_id[node_id]
 
     def successors(self, node_id: int) -> tuple[int, ...]:
         self.node(node_id)
@@ -476,12 +455,11 @@ def validate_linearity(timeline: Sequence[int], tlg: TLGraph) -> bool:
     """Check that a walk is chain-shaped: distinct nodes, valid hops.
 
     A hop is valid when it is a graph edge or a forward jump along the
-    base chain. Returns False on any violation; unknown node ids raise.
+    base chain. Returns False on any violation; an id node() rejects raises.
     """
     check_type(tlg, "graph", TLGraph)
     sequence = as_tuple(timeline, "timeline")
-    for node_id in sequence:
-        tlg.node(node_id)
+    _known_ids(tlg._by_id, sequence, "timeline id")
     if not sequence or len(set(sequence)) != len(sequence):
         return False
     originals = set(tlg.original_ids())
@@ -570,29 +548,22 @@ def entanglement_closure(tlg: TLGraph) -> TLGraph:
     return _graph(tlg.nodes, tlg.edges, classes)
 
 
-def detect_twist(
-    timeline: Sequence[int],
-    tlg: TLGraph,
-    base_order: Sequence[int] | None = None,
-) -> list[tuple[int, int]]:
+def detect_twist(timeline: Sequence[int], tlg: TLGraph) -> list[tuple[int, int]]:
     """Find visit-order inversions against base-chain causal order.
 
-    Copies count as their originals; elaboration nodes have no base
-    position and are skipped. Returns every pair (a, b) where a is
-    visited before b but a's base event comes causally after b's.
+    Copies count as their originals in tlg.original_ids(); elaboration
+    nodes have no base position and are skipped. Returns every pair
+    (a, b) where a is visited before b but a's base event comes causally
+    after b's. An id node() rejects raises, and so does a copy of a copy.
     """
     check_type(tlg, "graph", TLGraph)
     sequence = as_tuple(timeline, "timeline")
-    if base_order is None:
-        base_order = tlg.original_ids()
-    try:
-        position = {node_id: idx for idx, node_id in enumerate(base_order)}
-    except TypeError:
-        raise ValidationError("base_order must be an iterable of node ids") from None
+    _known_ids(tlg._by_id, sequence, "timeline id")
+    position = {node_id: idx for idx, node_id in enumerate(tlg.original_ids())}
 
     mapped: list[tuple[int, int]] = []  # (timeline id, base position)
     for node_id in sequence:
-        node = tlg.node(node_id)
+        node = tlg._by_id[node_id]
         if node.kind is EventKind.ELABORATION:
             continue
         base_id = node.copy_of if node.copy_of is not None else node.id

@@ -27,6 +27,7 @@ from newcomb.cli import (
     parse_config,
     render_region_csv,
 )
+from newcomb._validate import MAX_TRIALS
 from newcomb.decision import MAX_RESOLUTION
 
 CLASSIC_JSON = '{"utilities": [[10000, 0], [1010000, 1000000]], "predictor": [0.5, 0.5]}'
@@ -568,6 +569,17 @@ def test_cli_region_past_the_resolution_bound_exits_2(tmp_path):
     result = run_cli("region", "--config", str(config), "--out", str(out), "--resolution", str(MAX_RESOLUTION + 1))
     assert result.returncode == 2 and "Traceback" not in result.stderr
     assert not out.exists()
+
+
+def test_cli_simulate_past_the_trials_bound_names_trials(tmp_path):
+    # The two batches use trial indices [0, 2 * trials); compare's own
+    # check used to report the value as n.
+    config = tmp_path / "game.json"
+    config.write_text(CLASSIC_JSON)
+    result = run_cli("simulate", "--config", str(config), "--trials", str(MAX_TRIALS + 1))
+    assert result.returncode == 2
+    assert result.stderr == f"error: trials must be <= {MAX_TRIALS}, got {MAX_TRIALS + 1}\n"
+    assert result.stdout == ""
 
 
 # ── fuzz property ──────────────────────────────────────────────────

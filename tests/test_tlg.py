@@ -404,8 +404,6 @@ def _direct(edges, entanglement=(frozenset({1}), frozenset({2}))):
         pytest.param(lambda: validate_linearity([[1]], game_graph()), id="linearity-unhashable-id"),
         pytest.param(lambda: validate_linearity(5, game_graph()), id="linearity-walk-not-iterable"),
         pytest.param(lambda: detect_twist(5, game_graph()), id="twist-walk-not-iterable"),
-        pytest.param(lambda: detect_twist([1], game_graph(), 5), id="twist-base-order-not-iterable"),
-        pytest.param(lambda: detect_twist([1], game_graph(), [[1]]), id="twist-base-order-unhashable"),
         pytest.param(lambda: detect_twist([[1]], game_graph()), id="twist-unhashable-id"),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [{1: "x", 2: "y"}]), id="pair-as-dict"),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [{1, 2}]), id="pair-as-set"),
@@ -418,6 +416,10 @@ def _direct(edges, entanglement=(frozenset({1}), frozenset({2}))):
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [(1, 2.0)]), id="edge-with-float-endpoint"),
         pytest.param(lambda: TLGraph.build(_TWO_NODES, [], [(1.0, 2)]), id="pair-with-float-member"),
         pytest.param(lambda: _direct([(1, 2)], [{1.0, 2}]), id="class-with-float-member"),
+        pytest.param(lambda: validate_linearity([True, 2, 3, 4], game_graph()), id="linearity-bool-id"),
+        pytest.param(lambda: detect_twist([1, 3.0, 5, 2, 6, 7], game_graph()), id="twist-float-id"),
+        pytest.param(lambda: game_graph().node(True), id="node-bool-id"),
+        pytest.param(lambda: game_graph().successors(2.0), id="successors-float-id"),
     ],
 )
 def test_malformed_graph_input_raises_validation_error(make):
@@ -759,23 +761,23 @@ def test_twist_only_in_the_oracle_frame():
     assert twists == [(3, 2)]
 
 
-def test_twist_with_explicit_base_order():
-    g = game_graph()
-    omega = player_timeline(g, Player.OMEGA)
-    assert detect_twist(omega, g, base_order=[1, 2, 3, 4]) == [(3, 2)]
-
-
 def test_twist_unmappable_node_raises():
-    g = game_graph()
-    with pytest.raises(ValidationError):
-        detect_twist([1, 2, 3, 4], g, base_order=[1, 2, 3])
+    # 3 copies 2, which copies 1: a copy of a copy has no base position
+    g = TLGraph.build(
+        [
+            EventNode(1, EventKind.GENERIC),
+            EventNode(2, EventKind.GENERIC, copy_of=1),
+            EventNode(3, EventKind.GENERIC, copy_of=2),
+        ],
+        [(1, 2), (2, 3)],
+    )
+    with pytest.raises(ValidationError, match="no position"):
+        detect_twist([1, 2, 3], g)
 
 
-def _twists_by_double_loop(walk, g, base_order=None):
+def _twists_by_double_loop(walk, g):
     """Reference: compare every pair of mapped positions."""
-    if base_order is None:
-        base_order = g.original_ids()
-    position = {node_id: idx for idx, node_id in enumerate(base_order)}
+    position = {node_id: idx for idx, node_id in enumerate(g.original_ids())}
     mapped = []
     for node_id in walk:
         node = g.node(node_id)
@@ -799,8 +801,7 @@ def test_twist_matches_the_double_loop(data):
     g = unfold(base_chain(n), UnfoldSpec(n, k, m))
     walk = data.draw(st.lists(st.sampled_from([node.id for node in g.nodes]), max_size=20))
     walk.insert(data.draw(st.integers(0, len(walk))), n + 1)  # the elaboration node
-    base_order = data.draw(st.none() | st.permutations(range(1, n + 1)))
-    assert detect_twist(walk, g, base_order) == _twists_by_double_loop(walk, g, base_order)
+    assert detect_twist(walk, g) == _twists_by_double_loop(walk, g)
 
 
 def test_twist_excludes_elaboration_pairs():
