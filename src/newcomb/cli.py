@@ -124,7 +124,7 @@ def parse_config(text: str) -> GameConfig:
             for i, row in enumerate(utilities)
         ]
         accuracies = [check_number(x, f"predictor[{i}]", 0, 1) for i, x in enumerate(predictor)]
-        return GameConfig(UtilityMatrix.from_rows(rows), PredictorProfile(*accuracies), **raw)
+        return GameConfig(UtilityMatrix(*rows[0], *rows[1]), PredictorProfile(*accuracies), **raw)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
 

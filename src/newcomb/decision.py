@@ -89,15 +89,6 @@ class UtilityMatrix:
         """The classic million-euro table."""
         return cls(v11=10_000.0, v12=0.0, v21=1_010_000.0, v22=1_000_000.0)
 
-    @classmethod
-    def from_rows(cls, rows) -> "UtilityMatrix":
-        """Build from [[v11, v12], [v21, v22]]."""
-        try:
-            (v11, v12), (v21, v22) = rows
-        except (TypeError, ValueError):
-            raise ValidationError(f"utilities must be a 2x2 table, got {show(rows)}") from None
-        return cls(v11=v11, v12=v12, v21=v21, v22=v22)
-
     def as_rows(self) -> list[list[float]]:
         return [[self.v11, self.v12], [self.v21, self.v22]]
 
@@ -144,13 +135,22 @@ class PredictorProfile:
 
 @dataclass(frozen=True)
 class DecisionBoundary:
-    """Affine half-plane form of the choice rule: C1 iff a1*p1 + a2*p2 >= b."""
+    """Affine half-plane form of the choice rule: C1 iff a1*p1 + a2*p2 >= b.
+
+    The coefficients must be finite and the accuracies lie in [0, 1].
+    """
 
     a1: float
     a2: float
     b: float
 
+    def __post_init__(self) -> None:
+        for name in ("a1", "a2", "b"):
+            object.__setattr__(self, name, check_number(getattr(self, name), name))
+
     def prefers_c1(self, p1: float, p2: float) -> bool:
+        p1 = check_number(p1, "p1", 0, 1)
+        p2 = check_number(p2, "p2", 0, 1)
         return self.a1 * p1 + self.a2 * p2 >= self.b
 
 
@@ -189,6 +189,7 @@ class RegionGrid:
 
     def axis_value(self, index: int) -> float:
         """Grid coordinate for an axis index (endpoints inclusive)."""
+        check_int(index, "index", 0, self.resolution - 1)
         return index / (self.resolution - 1)
 
     def choice_at(self, i: int, j: int) -> CChoice:

@@ -184,13 +184,9 @@ class TLGraph:
         for node in nodes:
             if node.copy_of is not None:
                 original = by_id.get(node.copy_of)
-                if original is None:
+                if original is None or original.copy_of is not None or original.kind is not node.kind:
                     raise ValidationError(
-                        f"node {show(node.id)} copies unknown node {show(node.copy_of)}"
-                    )
-                if original.kind is not node.kind:
-                    raise ValidationError(
-                        f"copy {show(node.id)} must share its original's kind"
+                        f"copy {show(node.id)} must copy an original of its kind, got copy_of={show(node.copy_of)}"
                     )
         edges = frozenset(_id_pairs(self.edges, "edge", by_id))
         for u, v in edges:
@@ -554,7 +550,7 @@ def detect_twist(timeline: Sequence[int], tlg: TLGraph) -> list[tuple[int, int]]
     Copies count as their originals in tlg.original_ids(); elaboration
     nodes have no base position and are skipped. Returns every pair
     (a, b) where a is visited before b but a's base event comes causally
-    after b's. An id node() rejects raises, and so does a copy of a copy.
+    after b's. An id node() rejects raises.
     """
     check_type(tlg, "graph", TLGraph)
     sequence = as_tuple(timeline, "timeline")
@@ -566,10 +562,7 @@ def detect_twist(timeline: Sequence[int], tlg: TLGraph) -> list[tuple[int, int]]
         node = tlg._by_id[node_id]
         if node.kind is EventKind.ELABORATION:
             continue
-        base_id = node.copy_of if node.copy_of is not None else node.id
-        if base_id not in position:
-            raise ValidationError(f"node {show(node_id)} has no position in the base order")
-        mapped.append((node_id, position[base_id]))
+        mapped.append((node_id, position[node.copy_of or node.id]))
 
     # later_min[i] is the least base position after i; an i whose own
     # position is no greater than that starts no twist and is skipped

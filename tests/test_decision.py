@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from newcomb import (
     CChoice,
+    DecisionBoundary,
     PredictorProfile,
     RegionGrid,
     SChoice,
@@ -206,6 +207,22 @@ def test_boundary_all_zero_matrix_ties_everywhere():
     assert b.prefers_c1(0.0, 0.0) and b.prefers_c1(1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: DecisionBoundary("x", None, []), id="untyped-coefficients"),
+        pytest.param(lambda: DecisionBoundary(1.0, math.inf, 0.0), id="infinite-coefficient"),
+        pytest.param(lambda: decision_boundary(CLASSIC).prefers_c1([1], 0.5), id="p1-list"),
+        pytest.param(lambda: decision_boundary(CLASSIC).prefers_c1(10**400, 0.5), id="p1-huge"),
+        pytest.param(lambda: decision_boundary(CLASSIC).prefers_c1(math.nan, 0.5), id="p1-nan"),
+        pytest.param(lambda: decision_boundary(CLASSIC).prefers_c1(0.5, 1.5), id="p2-above-one"),
+    ],
+)
+def test_boundary_rejects_bad_coefficients_and_accuracies(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
 def test_boundary_symmetric_matrix_brute_force():
     """For v = (2,0,0,2) the rule collapses to p1 >= p2; check an 11x11 grid."""
     v = UtilityMatrix(2.0, 0.0, 0.0, 2.0)
@@ -334,6 +351,9 @@ def test_region_grid_axis_endpoints_inclusive():
     grid = region_grid(CLASSIC, 5)
     assert grid.axis_value(0) == 0.0
     assert grid.axis_value(4) == 1.0
+    for index in (-1, 5, 99, 2.0, "a", True):
+        with pytest.raises(ValidationError, match="index"):
+            grid.axis_value(index)
 
 
 # ── dominant_choice ────────────────────────────────────────────────

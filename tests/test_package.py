@@ -1,8 +1,12 @@
 """Tests for the package's public surface, whose exports load on first use."""
 
+import inspect
+import math
+from enum import Enum
 from importlib import import_module
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import newcomb
 
@@ -73,3 +77,64 @@ def test_an_int_too_large_to_print_raises_validation_error(call):
     with pytest.raises(newcomb.ValidationError) as caught:
         call()
     assert len(str(caught.value)) < 200
+
+
+def _instances():
+    """One value of each library type that is neither an exception nor an Enum."""
+    table = newcomb.UtilityMatrix.classic()
+    report = newcomb.SimulationReport(newcomb.CChoice.C1, 5, 0, 1.0, 1.0, 0.0, 0.0)
+    return [
+        table,
+        newcomb.PredictorProfile(0.5, 0.5),
+        newcomb.decision_boundary(table),
+        newcomb.region_grid(table, 5),
+        newcomb.EventNode(1, newcomb.EventKind.GENERIC),
+        newcomb.game_graph(),
+        newcomb.base_chain(5),
+        newcomb.GAME_UNFOLD,
+        newcomb.TrialStream(0, 0),
+        newcomb.RngSpec(1),
+        newcomb.TrialTrace(newcomb.CChoice.C1, newcomb.CChoice.C1, newcomb.SChoice.S1, newcomb.CChoice.C1, 1.0),
+        report,
+        newcomb.ComparisonTable(report, report),
+    ]
+
+
+def _surface(instances):
+    """Every exported callable but exception and Enum classes, and every public bound method."""
+    exports = [getattr(newcomb, name) for name in newcomb.__all__[1:]]
+    methods = [
+        getattr(obj, name)
+        for obj in instances
+        for name in dir(obj)
+        if not name.startswith("_") and callable(getattr(obj, name))
+    ]
+    return [
+        f
+        for f in exports + methods
+        if callable(f) and not (isinstance(f, type) and issubclass(f, (BaseException, Enum)))
+    ]
+
+
+_INSTANCES = _instances()
+# Every int is far below or past every size bound: 2**63 trials would be
+# accepted and run for ages.
+_POOL = [
+    -1, 0, 1, 2, 5, 10**400, True, 0.5, -0.0, math.nan, math.inf, "", "a", "12", None,
+    (), (1, 2), [1, 2], [[1, 2]], {1: 2}, {1, 2},
+    *newcomb.CChoice, *newcomb.SChoice, *newcomb.EventKind, *newcomb.Player,
+    *_INSTANCES,
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(f=st.sampled_from(_surface(_INSTANCES)), args=st.lists(st.sampled_from(_POOL), max_size=4))
+def test_every_public_call_returns_or_raises_a_newcomb_error(f, args):
+    try:
+        f(*args)
+    except newcomb.NewcombError:
+        pass
+    except TypeError:
+        # only Python's own complaint about the number of arguments
+        with pytest.raises(TypeError):
+            inspect.signature(f).bind(*args)

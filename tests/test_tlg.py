@@ -420,6 +420,24 @@ def _direct(edges, entanglement=(frozenset({1}), frozenset({2}))):
         pytest.param(lambda: detect_twist([1, 3.0, 5, 2, 6, 7], game_graph()), id="twist-float-id"),
         pytest.param(lambda: game_graph().node(True), id="node-bool-id"),
         pytest.param(lambda: game_graph().successors(2.0), id="successors-float-id"),
+        pytest.param(lambda: TLGraph.build([EventNode(1, EventKind.GENERIC, copy_of=1)], []), id="self-copy"),
+        pytest.param(
+            lambda: TLGraph.build(
+                [EventNode(1, EventKind.GENERIC, copy_of=2), EventNode(2, EventKind.GENERIC, copy_of=1)], []
+            ),
+            id="mutual-copy",
+        ),
+        pytest.param(
+            lambda: TLGraph.build(
+                [
+                    EventNode(1, EventKind.GENERIC),
+                    EventNode(2, EventKind.GENERIC, copy_of=1),
+                    EventNode(3, EventKind.GENERIC, copy_of=2),
+                ],
+                [],
+            ),
+            id="copy-of-copy",
+        ),
     ],
 )
 def test_malformed_graph_input_raises_validation_error(make):
@@ -761,18 +779,17 @@ def test_twist_only_in_the_oracle_frame():
     assert twists == [(3, 2)]
 
 
-def test_twist_unmappable_node_raises():
-    # 3 copies 2, which copies 1: a copy of a copy has no base position
-    g = TLGraph.build(
-        [
-            EventNode(1, EventKind.GENERIC),
-            EventNode(2, EventKind.GENERIC, copy_of=1),
-            EventNode(3, EventKind.GENERIC, copy_of=2),
-        ],
-        [(1, 2), (2, 3)],
-    )
-    with pytest.raises(ValidationError, match="no position"):
-        detect_twist([1, 2, 3], g)
+def test_copy_of_a_copy_is_rejected_before_any_walk():
+    # 3 copies 2, which copies 1: a copy of a copy would have no base position
+    with pytest.raises(ValidationError, match="copy 3 must copy an original of its kind, got copy_of=2"):
+        TLGraph.build(
+            [
+                EventNode(1, EventKind.GENERIC),
+                EventNode(2, EventKind.GENERIC, copy_of=1),
+                EventNode(3, EventKind.GENERIC, copy_of=2),
+            ],
+            [(1, 2), (2, 3)],
+        )
 
 
 def _twists_by_double_loop(walk, g):
@@ -801,6 +818,30 @@ def test_twist_matches_the_double_loop(data):
     g = unfold(base_chain(n), UnfoldSpec(n, k, m))
     walk = data.draw(st.lists(st.sampled_from([node.id for node in g.nodes]), max_size=20))
     walk.insert(data.draw(st.integers(0, len(walk))), n + 1)  # the elaboration node
+    assert detect_twist(walk, g) == _twists_by_double_loop(walk, g)
+
+
+_COPY_KINDS = (EventKind.GENERIC, EventKind.C_CHOICE, EventKind.ELABORATION)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_built_graph_maps_every_walk(data):
+    # random copy_of, edges and same-kind pairs; a graph the constructor
+    # accepts must give a result on any walk of distinct nodes
+    n = data.draw(st.integers(1, 6))
+    ids = st.integers(1, n)
+    kinds = data.draw(st.lists(st.sampled_from(_COPY_KINDS), min_size=n, max_size=n))
+    copies = data.draw(st.lists(st.none() | ids, min_size=n, max_size=n))
+    edges = data.draw(st.sets(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=3))
+    nodes = [EventNode(i + 1, kind, copy) for i, (kind, copy) in enumerate(zip(kinds, copies))]
+    try:
+        g = TLGraph.build(nodes, edges, [(a, b) for a, b in pairs if kinds[a - 1] is kinds[b - 1]])
+    except ValidationError:
+        return
+    walk = data.draw(st.lists(ids, unique=True))
+    assert validate_linearity(walk, g) in (True, False)
     assert detect_twist(walk, g) == _twists_by_double_loop(walk, g)
 
 
