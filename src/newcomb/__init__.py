@@ -33,7 +33,7 @@ _EXPORTS = {
         )),
         ("errors", (
             "NewcombError", "ValidationError", "ConfigError", "GraphStructureError",
-            "UnsupportedGraphError", "EntanglementViolationError",
+            "UnsupportedGraphError",
         )),
     )
     for name in names

@@ -19,7 +19,3 @@ class GraphStructureError(NewcombError):
 
 class UnsupportedGraphError(GraphStructureError):
     """The operation only supports graphs that unfold a plain chain."""
-
-
-class EntanglementViolationError(NewcombError):
-    """Internal invariant broke during a simulated play; indicates a bug."""

@@ -32,7 +32,7 @@ from itertools import repeat
 
 from ._validate import MAX_TRIALS, UINT64_MAX, check_int, check_number, check_type, show
 from .decision import CChoice, PredictorProfile, SChoice, UtilityMatrix, expected_utilities
-from .errors import EntanglementViolationError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "TrialStream",
@@ -46,26 +46,33 @@ __all__ = [
     "compare",
 ]
 
-_MASK64 = UINT64_MAX
 _TRIAL_INCREMENT = 0x9E3779B97F4A7C15  # golden-ratio Weyl step between trials
 _DRAW_INCREMENT = 0xC2B2AE3D27D4EB4F  # odd step between draws within a trial
+# SplitMix64's output function: two (xor-shift, multiply) rounds, then a
+# last xor-shift. _mix64 and the numpy kernel both read these.
+_ROUNDS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+_LAST_SHIFT = 31
 
 
 def _mix64(x: int) -> int:
-    # SplitMix64 output function
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+    x &= UINT64_MAX
+    for shift, multiplier in _ROUNDS:
+        x = ((x ^ (x >> shift)) * multiplier) & UINT64_MAX
+    return x ^ (x >> _LAST_SHIFT)
+
+
+def _trial_start(seed: int, trial: int) -> int:
+    # The state that trial's stream starts from.
+    return (seed + (trial + 1) * _TRIAL_INCREMENT) & UINT64_MAX
 
 
 class TrialStream:
     """Uniform [0,1) draws for one trial, derived from (seed, trial)."""
 
     def __init__(self, seed: int, trial: int):
-        check_int(seed, "seed", 0, _MASK64)
-        check_int(trial, "trial", 0, _MASK64)
-        self._base = (seed + (trial + 1) * _TRIAL_INCREMENT) & _MASK64
+        check_int(seed, "seed", 0, UINT64_MAX)
+        check_int(trial, "trial", 0, UINT64_MAX)
+        self._base = _trial_start(seed, trial)
         self._draw = 0
 
     def uniform(self) -> float:
@@ -81,7 +88,7 @@ class RngSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int(self.seed, "seed", 0, _MASK64)
+        check_int(self.seed, "seed", 0, UINT64_MAX)
 
     def stream(self, trial: int) -> TrialStream:
         return TrialStream(self.seed, trial)
@@ -91,22 +98,27 @@ class RngSpec:
 class TrialTrace:
     """One play resolved in the oracle's visit order.
 
-    Node 3 fixes C's choice, node 5 the prediction, node 2 S's sampled
-    response, node 6 the entangled copy of C's choice, and node 7 the
-    payout. The copy is forced equal to the original.
+    Node 3 fixes C's choice, node 2 S's sampled response and node 7 the
+    payout. The prediction (node 5) and the entangled copy (node 6)
+    replay C's choice, so they are read from it, not stored.
     """
 
     c_choice: CChoice
-    prediction: CChoice
     s_choice: SChoice
-    entangled_c_choice: CChoice
     utility: float
 
     def __post_init__(self) -> None:
-        if self.entangled_c_choice is not self.c_choice:
-            raise EntanglementViolationError(
-                "copied choice diverged from the original"
-            )
+        check_type(self.c_choice, "c_choice", CChoice)
+        check_type(self.s_choice, "s_choice", SChoice)
+        check_number(self.utility, "utility", minimum=0)
+
+    @property
+    def prediction(self) -> CChoice:
+        return self.c_choice
+
+    @property
+    def entangled_c_choice(self) -> CChoice:
+        return self.c_choice
 
 
 @dataclass(frozen=True)
@@ -122,8 +134,13 @@ class SimulationReport:
     elapsed_seconds: float
 
     def __post_init__(self) -> None:
+        check_type(self.c_choice, "c_choice", CChoice)
         check_int(self.trials, "trials", 1)
+        check_int(self.seed, "seed", 0, UINT64_MAX)
+        check_number(self.empirical_mean, "empirical_mean")
+        check_number(self.theoretical, "theoretical")
         check_number(self.standard_error, "standard_error", minimum=0)
+        check_number(self.elapsed_seconds, "elapsed_seconds", minimum=0)
 
 
 @dataclass(frozen=True)
@@ -132,6 +149,12 @@ class ComparisonTable:
 
     c1: SimulationReport
     c2: SimulationReport
+
+    def __post_init__(self) -> None:
+        for name, choice in (("c1", CChoice.C1), ("c2", CChoice.C2)):
+            got = check_type(getattr(self, name), name, SimulationReport).c_choice
+            if got is not choice:
+                raise ValidationError(f"{name} must report {choice.value}, got {got.value}")
 
     @property
     def theoretical(self) -> tuple[float, float]:
@@ -152,23 +175,15 @@ def play_once(
 
     The prediction always equals C's actual choice; predictor
     fallibility shows up in S's response, which follows the predicted
-    row only with the profiled accuracy.
+    row only with the profiled accuracy. The stream must be a
+    TrialStream, such as RngSpec(seed).stream(i).
     """
     check_type(v, "v", UtilityMatrix)
     check_type(p, "p", PredictorProfile)
     check_type(c_choice, "c_choice", CChoice)
-    prediction = c_choice
-    s1_prob = p.s1_probability(c_choice)
-    s_choice = SChoice.S1 if trial_stream.uniform() < s1_prob else SChoice.S2
-    entangled = c_choice
-    utility = v.payoff(s_choice, entangled)
-    return TrialTrace(
-        c_choice=c_choice,
-        prediction=prediction,
-        s_choice=s_choice,
-        entangled_c_choice=entangled,
-        utility=utility,
-    )
+    check_type(trial_stream, "trial_stream", TrialStream)
+    s_choice = SChoice.S1 if trial_stream.uniform() < p.s1_probability(c_choice) else SChoice.S2
+    return TrialTrace(c_choice, s_choice, v.payoff(s_choice, c_choice))
 
 
 # Trials per kernel pass; it bounds the kernel's buffers (~1.6 MB).
@@ -199,13 +214,12 @@ def _count_s1(seed: int, start: int, stop: int, q: float) -> int:
     for lo in range(start, stop, _CHUNK):
         m = min(_CHUNK, stop - lo)
         xs, ts = x[:m], tmp[:m]
-        offset = (seed + (lo + 1) * _TRIAL_INCREMENT) & _MASK64
-        np.add(steps[:m], np.uint64(offset), out=xs)
-        for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.add(steps[:m], np.uint64(_trial_start(seed, lo)), out=xs)
+        for shift, multiplier in _ROUNDS:
             np.right_shift(xs, np.uint64(shift), out=ts)
             xs ^= ts
             xs *= np.uint64(multiplier)
-        np.right_shift(xs, np.uint64(31), out=ts)
+        np.right_shift(xs, np.uint64(_LAST_SHIFT), out=ts)
         xs ^= ts
         count += int(np.count_nonzero(np.less(xs, threshold, out=below[:m])))
     return count

@@ -4,12 +4,14 @@ import inspect
 import math
 from enum import Enum
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import newcomb
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 SUBMODULES = [import_module(f"newcomb.{name}") for name in ("decision", "errors", "sim", "tlg")]
 
 
@@ -20,6 +22,16 @@ def test_every_export_is_the_object_its_submodule_defines():
         owners = [m for m in SUBMODULES if name in getattr(m, "__all__", vars(m))]
         assert len(owners) == 1, (name, owners)
         assert getattr(newcomb, name) is getattr(owners[0], name), name
+
+
+def test_the_readme_library_example_runs():
+    # a renamed or deleted export that the example still uses fails here
+    library = README.read_text().split("\n## Library\n", 1)[1]
+    namespace = {}
+    exec(library.split("```python\n", 1)[1].split("\n```", 1)[0], namespace)
+    assert namespace["table"].theoretical == (510000.0, 500000.0)
+    trace = namespace["trace"]
+    assert (trace.s_choice, trace.utility) == (newcomb.SChoice.S2, 1010000.0)
 
 
 def test_star_import_binds_exactly_all():
@@ -82,7 +94,8 @@ def test_an_int_too_large_to_print_raises_validation_error(call):
 def _instances():
     """One value of each library type that is neither an exception nor an Enum."""
     table = newcomb.UtilityMatrix.classic()
-    report = newcomb.SimulationReport(newcomb.CChoice.C1, 5, 0, 1.0, 1.0, 0.0, 0.0)
+    c1_report = newcomb.SimulationReport(newcomb.CChoice.C1, 5, 0, 1.0, 1.0, 0.0, 0.0)
+    c2_report = newcomb.SimulationReport(newcomb.CChoice.C2, 5, 0, 1.0, 1.0, 0.0, 0.0)
     return [
         table,
         newcomb.PredictorProfile(0.5, 0.5),
@@ -94,9 +107,9 @@ def _instances():
         newcomb.GAME_UNFOLD,
         newcomb.TrialStream(0, 0),
         newcomb.RngSpec(1),
-        newcomb.TrialTrace(newcomb.CChoice.C1, newcomb.CChoice.C1, newcomb.SChoice.S1, newcomb.CChoice.C1, 1.0),
-        report,
-        newcomb.ComparisonTable(report, report),
+        newcomb.TrialTrace(newcomb.CChoice.C1, newcomb.SChoice.S1, 1.0),
+        c1_report,
+        newcomb.ComparisonTable(c1_report, c2_report),
     ]
 
 

@@ -1,20 +1,24 @@
 """Unit tests for the oracle-frame simulator."""
 
 import concurrent.futures
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newcomb import sim
 from newcomb import (
     CChoice,
-    EntanglementViolationError,
+    ComparisonTable,
     OMEGA_ORDER,
     Player,
     PredictorProfile,
     RngSpec,
     SChoice,
+    SimulationReport,
+    TrialStream,
     TrialTrace,
     UtilityMatrix,
     ValidationError,
@@ -36,7 +40,7 @@ RANDOM_P = PredictorProfile(0.5, 0.5)
 PERFECT_P = PredictorProfile(1.0, 1.0)
 
 
-class StubStream:
+class StubStream(TrialStream):
     """Feeds prescribed draws and counts how many were consumed."""
 
     def __init__(self, values):
@@ -91,6 +95,28 @@ def test_stream_rejects_trial_indices_outside_64_bits(trial):
         RngSpec(3).stream(trial)
 
 
+def _thresholds():
+    """A draw's cut points k * 2^-53 and the floats just beside them, plus edges and random q."""
+    cut = st.integers(0, 1 << 53).map(lambda k: k * 2.0**-53)
+    beside = st.tuples(cut, st.sampled_from([-math.inf, math.inf])).map(lambda a: math.nextafter(*a))
+    return st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), cut, beside, st.floats(0.0, 1.0))
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, (1 << 64) - 1),
+    n=st.integers(0, 1 << 10),
+    at_top=st.booleans(),
+    start=st.integers(0, (1 << 64) - (1 << 10)),
+    q=_thresholds(),
+)
+def test_kernel_counts_the_draws_of_trial_streams(seed, n, at_top, start, q):
+    # at_top puts the span against 2^64, where the Weyl offset wraps
+    start = (1 << 64) - n - start % 4 if at_top else start
+    expected = sum(TrialStream(seed, i).uniform() < q for i in range(start, start + n))
+    assert sim._count_s1(seed, start, start + n, q) == expected
+
+
 # ── play_once ──────────────────────────────────────────────────────
 
 
@@ -130,20 +156,47 @@ def test_omega_order_matches_the_graph_timeline():
     assert OMEGA_ORDER == player_timeline(game_graph(), Player.OMEGA) == (1, 3, 5, 2, 6, 7)
 
 
-def test_trace_rejects_divergent_entangled_copy():
-    with pytest.raises(EntanglementViolationError):
-        TrialTrace(
-            c_choice=CChoice.C1,
-            prediction=CChoice.C1,
-            s_choice=SChoice.S1,
-            entangled_c_choice=CChoice.C2,
-            utility=0.0,
-        )
+def test_trace_reads_prediction_and_copy_from_c_choice():
+    # a prediction or copy that diverges from C's choice cannot be built
+    for c in CChoice:
+        trace = TrialTrace(c, SChoice.S1, 0.0)
+        assert trace.prediction is trace.entangled_c_choice is trace.c_choice is c
+    assert [f.name for f in dataclasses.fields(TrialTrace)] == ["c_choice", "s_choice", "utility"]
 
 
-def test_play_once_rejects_bad_choice():
-    with pytest.raises(ValidationError):
+def test_play_once_rejects_bad_choice_or_stream():
+    with pytest.raises(ValidationError, match="^c_choice"):
         play_once(CLASSIC, RANDOM_P, "C1", StubStream([0.5]))
+    for stream in ("x", None):
+        with pytest.raises(ValidationError, match="^trial_stream must be of type TrialStream"):
+            play_once(CLASSIC, RANDOM_P, CChoice.C1, stream)
+
+
+C1_REPORT = SimulationReport(CChoice.C1, 5, 0, 1.0, 1.0, 0.0, 0.0)
+C2_REPORT = dataclasses.replace(C1_REPORT, c_choice=CChoice.C2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: ComparisonTable(1, 2), id="table-ints"),
+        pytest.param(lambda: ComparisonTable(C1_REPORT, C1_REPORT), id="table-c2-reports-C1"),
+        pytest.param(lambda: ComparisonTable(C2_REPORT, C2_REPORT), id="table-c1-reports-C2"),
+        pytest.param(lambda: SimulationReport("C9", 5, -3, "a", None, 0.0, "b"), id="report-all"),
+        pytest.param(lambda: dataclasses.replace(C1_REPORT, trials=0), id="report-trials"),
+        pytest.param(lambda: dataclasses.replace(C1_REPORT, seed=1 << 64), id="report-seed"),
+        pytest.param(lambda: dataclasses.replace(C1_REPORT, empirical_mean=math.nan), id="report-mean"),
+        pytest.param(lambda: dataclasses.replace(C1_REPORT, theoretical=math.inf), id="report-theory"),
+        pytest.param(lambda: dataclasses.replace(C1_REPORT, standard_error=-1.0), id="report-se"),
+        pytest.param(lambda: dataclasses.replace(C1_REPORT, elapsed_seconds=-0.5), id="report-elapsed"),
+        pytest.param(lambda: TrialTrace(1, 1, "x"), id="trace-all"),
+        pytest.param(lambda: TrialTrace(CChoice.C1, CChoice.C1, 1.0), id="trace-s-choice"),
+        pytest.param(lambda: TrialTrace(CChoice.C1, SChoice.S1, -1.0), id="trace-utility"),
+    ],
+)
+def test_sim_records_reject_fields_of_the_wrong_kind(build):
+    with pytest.raises(ValidationError):
+        build()
 
 
 def test_entanglement_invariants_hold_over_a_million_trials():
