@@ -7,6 +7,9 @@ entanglement, and a reproducible oracle-frame Monte Carlo simulator.
 Every export loads on first use: `import newcomb` imports none of the
 submodules, and reading a name (or a submodule such as `newcomb.tlg`)
 imports only the submodule that defines it.
+
+`_PUBLIC` is the one list of public names: `decision`, `tlg` and `sim`
+read their `__all__` from it, as this module imports no submodule.
 """
 
 from importlib import import_module
@@ -14,30 +17,27 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 # Each public name, by the submodule that defines it.
-_EXPORTS = {
-    name: module
-    for module, names in (
-        ("decision", (
-            "CChoice", "SChoice", "UtilityMatrix", "PredictorProfile", "DecisionBoundary",
-            "RegionGrid", "expected_utilities", "choose", "decision_boundary", "region_grid",
-            "dominant_choice",
-        )),
-        ("tlg", (
-            "EventKind", "Player", "EventNode", "TLGraph", "UnfoldSpec", "OMEGA_ORDER",
-            "GAME_UNFOLD", "base_chain", "unfold", "game_graph", "player_timeline",
-            "validate_linearity", "entanglement_closure", "detect_twist", "is_chain", "to_dot",
-        )),
-        ("sim", (
-            "TrialStream", "RngSpec", "TrialTrace", "SimulationReport", "ComparisonTable",
-            "play_once", "monte_carlo", "standard_error", "compare",
-        )),
-        ("errors", (
-            "NewcombError", "ValidationError", "ConfigError", "GraphStructureError",
-            "UnsupportedGraphError",
-        )),
-    )
-    for name in names
+_PUBLIC = {
+    "decision": (
+        "CChoice", "SChoice", "UtilityMatrix", "PredictorProfile", "DecisionBoundary",
+        "RegionGrid", "expected_utilities", "choose", "decision_boundary", "region_grid",
+        "dominant_choice",
+    ),
+    "tlg": (
+        "EventKind", "Player", "EventNode", "TLGraph", "UnfoldSpec", "GAME_UNFOLD",
+        "base_chain", "unfold", "game_graph", "player_timeline", "OMEGA_ORDER",
+        "validate_linearity", "entanglement_closure", "detect_twist", "is_chain", "to_dot",
+    ),
+    "sim": (
+        "TrialStream", "RngSpec", "TrialTrace", "SimulationReport", "ComparisonTable",
+        "play_once", "monte_carlo", "standard_error", "compare",
+    ),
+    "errors": (
+        "NewcombError", "ValidationError", "ConfigError", "GraphStructureError",
+        "UnsupportedGraphError",
+    ),
 }
+_EXPORTS = {name: module for module, names in _PUBLIC.items() for name in names}
 _SUBMODULES = {"cli", *_EXPORTS.values()}
 
 __all__ = ["__version__", *_EXPORTS]

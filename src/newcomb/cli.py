@@ -38,6 +38,7 @@ __all__ = [
     "GameConfig",
     "parse_config",
     "cmd_expected",
+    "render_region_csv",
     "cmd_region",
     "cmd_graph",
     "cmd_simulate",

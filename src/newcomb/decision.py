@@ -19,7 +19,9 @@ rule is the half-plane
                               b  = v12 - v21,
 
 which for the classic payoff table (10000 / 0 / 1010000 / 1000000
-euros) reduces to p1 + p2 <= 1.01.
+euros) reduces to p1 + p2 <= 1.01. DecisionBoundary.prefers_c1 tests it
+in floating point, so within rounding of the line it can differ from
+choose(); expected, region and simulate use choose()'s form, U1 >= U2.
 
 Everything here is a pure function of its inputs; all values are
 64-bit floats and no shared state exists, so concurrent use is safe.
@@ -31,22 +33,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
+from . import _PUBLIC
 from ._validate import as_tuple, check_int, check_number, check_type, show
 from .errors import ValidationError
 
-__all__ = [
-    "CChoice",
-    "SChoice",
-    "UtilityMatrix",
-    "PredictorProfile",
-    "DecisionBoundary",
-    "RegionGrid",
-    "expected_utilities",
-    "choose",
-    "decision_boundary",
-    "region_grid",
-    "dominant_choice",
-]
+__all__ = list(_PUBLIC["decision"])
 
 # The largest grid resolution: its CSV already has 2^32 rows (56 GiB), and
 # setup to the first row grows with it (20 MB, 2 s; 325 MB, 30 s at 2^20).
@@ -138,6 +129,9 @@ class DecisionBoundary:
     """Affine half-plane form of the choice rule: C1 iff a1*p1 + a2*p2 >= b.
 
     The coefficients must be finite and the accuracies lie in [0, 1].
+    prefers_c1 evaluates it in floating point, so within rounding of the
+    line it can differ from choose(); expected, region and simulate use
+    choose()'s form, U1 >= U2.
     """
 
     a1: float

@@ -30,21 +30,12 @@ import time
 from dataclasses import dataclass
 from itertools import repeat
 
+from . import _PUBLIC
 from ._validate import MAX_TRIALS, UINT64_MAX, check_int, check_number, check_type, show
 from .decision import CChoice, PredictorProfile, SChoice, UtilityMatrix, expected_utilities
 from .errors import ValidationError
 
-__all__ = [
-    "TrialStream",
-    "RngSpec",
-    "TrialTrace",
-    "SimulationReport",
-    "ComparisonTable",
-    "play_once",
-    "monte_carlo",
-    "standard_error",
-    "compare",
-]
+__all__ = list(_PUBLIC["sim"])
 
 _TRIAL_INCREMENT = 0x9E3779B97F4A7C15  # golden-ratio Weyl step between trials
 _DRAW_INCREMENT = 0xC2B2AE3D27D4EB4F  # odd step between draws within a trial

@@ -37,27 +37,11 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from . import _PUBLIC
 from ._validate import as_tuple, check_int, check_type, show
 from .errors import GraphStructureError, UnsupportedGraphError, ValidationError
 
-__all__ = [
-    "EventKind",
-    "Player",
-    "EventNode",
-    "TLGraph",
-    "UnfoldSpec",
-    "GAME_UNFOLD",
-    "base_chain",
-    "unfold",
-    "game_graph",
-    "player_timeline",
-    "OMEGA_ORDER",
-    "validate_linearity",
-    "entanglement_closure",
-    "detect_twist",
-    "is_chain",
-    "to_dot",
-]
+__all__ = list(_PUBLIC["tlg"])
 
 
 class EventKind(Enum):

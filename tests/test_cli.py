@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -30,6 +31,7 @@ from newcomb.cli import (
 from newcomb._validate import MAX_TRIALS
 from newcomb.decision import MAX_RESOLUTION
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 CLASSIC_JSON = '{"utilities": [[10000, 0], [1010000, 1000000]], "predictor": [0.5, 0.5]}'
 
 # Child interpreters import the package from the same source tree as this one.
@@ -487,15 +489,29 @@ COMMAND_FLAGS = {
 }
 
 
-def test_each_command_defines_only_the_flags_it_reads():
+def _parser_flags():
     parser = _build_parser()
     (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = {
+    return {
         name: {s for action in command._actions for s in action.option_strings} - {"-h", "--help"}
         for name, command in commands.items()
     }
+
+
+def test_each_command_defines_only_the_flags_it_reads():
+    flags = _parser_flags()
     assert flags == COMMAND_FLAGS
     assert sum(map(len, flags.values())) == 11
+
+
+def test_readme_cli_lines_match_the_parser():
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    readme = {}
+    for line in block.splitlines():
+        if line.startswith("newcomb "):
+            words = [w.strip("[]") for w in line.split()]
+            readme[words[1]] = {w for w in words if w.startswith("--")}
+    assert readme == _parser_flags()
 
 
 @pytest.mark.parametrize(

@@ -235,7 +235,7 @@ def test_boundary_symmetric_matrix_brute_force():
             assert b.prefers_c1(p.p1, p.p2) == (u1 >= u2)
 
 
-def test_boundary_agrees_with_choose_on_random_inputs():
+def test_boundary_matches_choose_off_the_line():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         v = UtilityMatrix(*rng.uniform(0, 1e6, size=4))
@@ -243,6 +243,12 @@ def test_boundary_agrees_with_choose_on_random_inputs():
         b = decision_boundary(v)
         expected = CChoice.C1 if b.prefers_c1(p.p1, p.p2) else CChoice.C2
         assert choose(v, p) is expected
+    # Within rounding of the line the two forms can differ: U1 < U2 exactly,
+    # so choose() is right, but 56*0.7 + 67*0.4 rounds to 66.0 >= 66.
+    v, p = UtilityMatrix(60, 70, 4, 3), PredictorProfile(0.7, 0.4)
+    assert 4 + Fraction(0.7) * 56 < 70 + Fraction(0.4) * -67
+    assert choose(v, p) is CChoice.C2
+    assert decision_boundary(v).prefers_c1(p.p1, p.p2)
 
 
 # ── region_grid ────────────────────────────────────────────────────

@@ -34,10 +34,27 @@ def test_the_readme_library_example_runs():
     assert (trace.s_choice, trace.utility) == (newcomb.SChoice.S2, 1010000.0)
 
 
-def test_star_import_binds_exactly_all():
+@pytest.mark.parametrize("module", ["newcomb", "newcomb.decision", "newcomb.tlg", "newcomb.sim"])
+def test_star_import_binds_exactly_all(module):
+    # no helper such as check_int leaks out of a submodule
     namespace = {}
-    exec("from newcomb import *", namespace)
-    assert set(namespace) - {"__builtins__"} == set(newcomb.__all__)
+    exec(f"from {module} import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(import_module(module).__all__)
+
+
+@pytest.mark.parametrize("name", ["decision", "tlg", "sim", "errors", "cli"])
+def test_every_public_definition_is_exported(name):
+    module = import_module(f"newcomb.{name}")
+    # errors has no __all__: the package's table lists its names
+    exported = getattr(module, "__all__", None) or newcomb._PUBLIC[name]
+    defined = {
+        attr
+        for attr, obj in vars(module).items()
+        if not attr.startswith("_")
+        and (inspect.isclass(obj) or inspect.isfunction(obj))
+        and obj.__module__ == module.__name__
+    }
+    assert defined <= set(exported), defined - set(exported)
 
 
 @pytest.mark.parametrize("module", [newcomb, newcomb.sim], ids=["newcomb", "newcomb.sim"])
