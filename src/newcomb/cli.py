@@ -47,6 +47,9 @@ __all__ = [
 
 DEFAULT_TRIALS = 50_000
 DEFAULT_RESOLUTION = 101
+# The largest grid render_region_csv builds in memory, about 335 MB of text;
+# cmd_region streams any resolution up to MAX_RESOLUTION.
+_MAX_RENDER_RESOLUTION = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,11 @@ def _region_lines(config: GameConfig) -> Iterator[str]:
 
 
 def render_region_csv(config: GameConfig) -> str:
-    """CSV text of the decision region grid, p1 outer and ascending."""
+    """CSV text of the decision region grid, p1 outer and ascending.
+
+    The text is built in memory, so the resolution is at most 4096.
+    """
+    check_int(config.resolution, "resolution", 2, _MAX_RENDER_RESOLUTION)
     return "".join(_region_lines(config))
 
 

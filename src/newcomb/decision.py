@@ -19,9 +19,7 @@ rule is the half-plane
                               b  = v12 - v21,
 
 which for the classic payoff table (10000 / 0 / 1010000 / 1000000
-euros) reduces to p1 + p2 <= 1.01. DecisionBoundary.prefers_c1 tests it
-in floating point, so within rounding of the line it can differ from
-choose(); expected, region and simulate use choose()'s form, U1 >= U2.
+euros) reduces to p1 + p2 <= 1.01.
 
 Everything here is a pure function of its inputs; all values are
 64-bit floats and no shared state exists, so concurrent use is safe.
@@ -128,10 +126,7 @@ class PredictorProfile:
 class DecisionBoundary:
     """Affine half-plane form of the choice rule: C1 iff a1*p1 + a2*p2 >= b.
 
-    The coefficients must be finite and the accuracies lie in [0, 1].
-    prefers_c1 evaluates it in floating point, so within rounding of the
-    line it can differ from choose(); expected, region and simulate use
-    choose()'s form, U1 >= U2.
+    The coefficients must be finite.
     """
 
     a1: float
@@ -141,11 +136,6 @@ class DecisionBoundary:
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "b"):
             object.__setattr__(self, name, check_number(getattr(self, name), name))
-
-    def prefers_c1(self, p1: float, p2: float) -> bool:
-        p1 = check_number(p1, "p1", 0, 1)
-        p2 = check_number(p2, "p2", 0, 1)
-        return self.a1 * p1 + self.a2 * p2 >= self.b
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ replay the entangled outcomes.
 
 S's response is sampled from the conditional law: given C = Cj, S
 plays S1 with probability P(S=S1|C=Cj), which is p1 when j=1 and
-1-p2 when j=2. Each trial consumes exactly one uniform draw, taking
-S1 when u < P(S=S1|C=Cj).
+1-p2 when j=2. A trial's TrialStream holds exactly one uniform draw,
+and S plays S1 when u < P(S=S1|C=Cj).
 
 Randomness is counter-based: trial i of seed s draws from a SplitMix64
 stream indexed by (s, i), so results do not depend on execution order
@@ -38,7 +38,6 @@ from .errors import ValidationError
 __all__ = list(_PUBLIC["sim"])
 
 _TRIAL_INCREMENT = 0x9E3779B97F4A7C15  # golden-ratio Weyl step between trials
-_DRAW_INCREMENT = 0xC2B2AE3D27D4EB4F  # odd step between draws within a trial
 # SplitMix64's output function: two (xor-shift, multiply) rounds, then a
 # last xor-shift. _mix64 and the numpy kernel both read these.
 _ROUNDS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
@@ -58,18 +57,15 @@ def _trial_start(seed: int, trial: int) -> int:
 
 
 class TrialStream:
-    """Uniform [0,1) draws for one trial, derived from (seed, trial)."""
+    """A trial's one uniform [0,1) draw, derived from (seed, trial); every call returns it."""
 
     def __init__(self, seed: int, trial: int):
         check_int(seed, "seed", 0, UINT64_MAX)
         check_int(trial, "trial", 0, UINT64_MAX)
         self._base = _trial_start(seed, trial)
-        self._draw = 0
 
     def uniform(self) -> float:
-        z = _mix64(self._base + self._draw * _DRAW_INCREMENT)
-        self._draw += 1
-        return (z >> 11) * 2.0**-53
+        return (_mix64(self._base) >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ def play_once(
     c_choice: CChoice,
     trial_stream: TrialStream,
 ) -> TrialTrace:
-    """Resolve one play in the oracle's order, consuming one draw.
+    """Resolve one play in the oracle's order from the trial's one draw.
 
     The prediction always equals C's actual choice; predictor
     fallibility shows up in S's response, which follows the predicted
@@ -182,7 +178,7 @@ _CHUNK = 1 << 16
 
 
 def _count_s1(seed: int, start: int, stop: int, q: float) -> int:
-    # Counts draw 0 of trials [start, stop) below q; matches TrialStream
+    # Counts the trials' draws in [start, stop) below q; matches TrialStream
     # exactly. A draw is u = (x >> 11) * 2^-53, and for an integer x,
     # u < q holds iff x < ceil(q * 2^53) << 11. At q >= 1 that threshold
     # would not fit in 64 bits, but then every draw is below q; at q <= 0

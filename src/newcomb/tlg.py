@@ -290,6 +290,10 @@ GAME_UNFOLD = UnfoldSpec(n=4, k=2, m=3)
 
 # The longest chain base_chain builds; with unfold that takes about 1 s and 100 MB.
 MAX_CHAIN_LENGTH = 1 << 16
+# The most inversions detect_twist returns; a walk with more raises. The
+# oracle's walk on unfold(base_chain(2^16), UnfoldSpec(2^16, 2, 2^16)) has
+# 65 534, but a reversed walk on that chain would have 2^31.
+MAX_TWISTS = 1 << 20
 
 
 def base_chain(n: int) -> TLGraph:
@@ -534,7 +538,8 @@ def detect_twist(timeline: Sequence[int], tlg: TLGraph) -> list[tuple[int, int]]
     Copies count as their originals in tlg.original_ids(); elaboration
     nodes have no base position and are skipped. Returns every pair
     (a, b) where a is visited before b but a's base event comes causally
-    after b's. An id node() rejects raises.
+    after b's. An id node() rejects raises, and so does a walk with more
+    than MAX_TWISTS inversions.
     """
     check_type(tlg, "graph", TLGraph)
     sequence = as_tuple(timeline, "timeline")
@@ -561,6 +566,8 @@ def detect_twist(timeline: Sequence[int], tlg: TLGraph) -> list[tuple[int, int]]
     for i, (a, a_pos) in enumerate(mapped):
         if a_pos > later_min[i]:
             twists.extend((a, b) for b, b_pos in mapped[i + 1:] if a_pos > b_pos)
+            if len(twists) > MAX_TWISTS:
+                raise ValidationError(f"timeline has more than {MAX_TWISTS} twists")
     return twists
 
 

@@ -59,19 +59,16 @@ def test_criterion_02_boundary_reproduction():
     boundary = decision_boundary(CLASSIC)
     assert (boundary.a1, boundary.a2, boundary.b) == (-1e6, -1e6, -1.01e6)
 
-    # exact equivalence of the affine form to p1 + p2 <= 1.01, multiplied
-    # through by 200 so that it stays in integers
+    # choose() and the exact affine form, multiplied through by 200 so that
+    # it stays in integers, must both agree with p1 + p2 <= 1.01
     a1, a2, b = (int(x) for x in (boundary.a1, boundary.a2, boundary.b))
     mismatches = 0
     for i in range(201):
         for j in range(201):
-            p1, p2 = i / 200, j / 200
-            affine = boundary.prefers_c1(p1, p2)
-            if affine != (choose(CLASSIC, PredictorProfile(p1, p2)) is CChoice.C1):
-                mismatches += 1
-            exact = a1 * i + a2 * j >= 200 * b
             line = i + j <= 202
-            if exact != line:
+            if (choose(CLASSIC, PredictorProfile(i / 200, j / 200)) is CChoice.C1) != line:
+                mismatches += 1
+            if (a1 * i + a2 * j >= 200 * b) != line:
                 mismatches += 1
     elapsed = time.perf_counter() - started
     assert mismatches == 0

@@ -286,6 +286,13 @@ def test_cmd_region_streams_in_bounded_memory(tmp_path):
         assert sum(1 for _ in handle) == 1 + 1201 * 1201
 
 
+def test_render_region_csv_refuses_a_grid_past_its_in_memory_bound():
+    # cmd_region streams this grid; the whole text would be over 335 MB
+    config = GameConfig(UtilityMatrix.classic(), PredictorProfile.random(), resolution=(1 << 12) + 1)
+    with pytest.raises(ValidationError, match=f"resolution must be <= {1 << 12}, got {(1 << 12) + 1}"):
+        render_region_csv(config)
+
+
 # ── files and processes ────────────────────────────────────────────
 
 

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 from enum import Enum
 from importlib import import_module
 from pathlib import Path
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import newcomb
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 SUBMODULES = [import_module(f"newcomb.{name}") for name in ("decision", "errors", "sim", "tlg")]
 
 
@@ -63,6 +65,12 @@ def test_unknown_name_raises_attribute_error(module):
         module.no_such_name
     assert not hasattr(module, "no_such_name")
 
+
+
+def test_version_matches_pyproject():
+    # a regex, as Python 3.10 has no tomllib
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == newcomb.__version__
 
 
 _HUGE = 10**5000  # past the interpreter's int-to-str digit limit, so it has no repr
@@ -160,6 +168,12 @@ _POOL = [
 @settings(max_examples=1000, deadline=None)
 @given(f=st.sampled_from(_surface(_INSTANCES)), args=st.lists(st.sampled_from(_POOL), max_size=4))
 def test_every_public_call_returns_or_raises_a_newcomb_error(f, args):
+    """Random arguments from _POOL give a result or a NewcombError.
+
+    No call reaches detect_twist's MAX_TWISTS or render_region_csv's
+    in-memory resolution bound: the pool's ints are too small or past
+    every size bound, and its sequences hold at most two items.
+    """
     try:
         f(*args)
     except newcomb.NewcombError:

@@ -64,9 +64,9 @@ def straight_line_utility(v, p, c_choice, stream):
 
 
 def test_stream_is_deterministic_per_seed_and_trial():
-    a = [RngSpec(9).stream(5).uniform() for _ in range(3)]
-    b = [RngSpec(9).stream(5).uniform() for _ in range(3)]
-    assert a == b
+    # a trial has one draw: every call on one stream returns a fresh stream's draw
+    stream = RngSpec(9).stream(5)
+    assert [stream.uniform() for _ in range(3)] == [RngSpec(9).stream(5).uniform()] * 3
 
 
 def test_streams_differ_across_trials_and_seeds():

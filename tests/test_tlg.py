@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from newcomb import (
     unfold,
     validate_linearity,
 )
+from newcomb.tlg import MAX_TWISTS
 
 GAME_EDGES = {(1, 2), (2, 3), (3, 4), (3, 5), (5, 2), (2, 6), (6, 7)}
 
@@ -849,6 +851,20 @@ def test_twist_excludes_elaboration_pairs():
     g = game_graph()
     twists = detect_twist(player_timeline(g, Player.OMEGA), g)
     assert all(5 not in pair for pair in twists)
+
+
+def test_twist_raises_past_its_bound_before_building_every_pair():
+    # a reversed walk on 4096 events inverts 8 386 560 pairs, over 450 MB of
+    # tuples; the list stops growing once it passes MAX_TWISTS (2^20)
+    n = 1 << 12
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"more than {MAX_TWISTS} twists"):
+            detect_twist(range(n, 0, -1), base_chain(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 # ── to_dot ─────────────────────────────────────────────────────────
