@@ -73,6 +73,13 @@ def as_tuple(items, name: str) -> tuple:
         raise ValidationError(f"{name} must be iterable, got {show(items)}") from None
 
 
+def check_pair(value, name: str) -> tuple:
+    """A tuple or list of two items, as a tuple; a dict, set or range is refused."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise ValidationError(f"{name} must be a tuple or list of two items, got {show(value)}")
+    return tuple(value)
+
+
 def check_type(value, name: str, kind: type):
     """A value of the given type."""
     if not isinstance(value, kind):

@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from . import __version__
-from ._validate import MAX_TRIALS, UINT64_MAX, check_int, check_number, check_type
+from ._validate import MAX_TRIALS, UINT64_MAX, check_int, check_number, check_type, show
 from .decision import (
     MAX_RESOLUTION,
     PredictorProfile,
@@ -91,6 +91,7 @@ def parse_config(text: str) -> GameConfig:
     Unknown keys are rejected; utilities and predictor are mandatory;
     the remaining fields default per GameConfig.
     """
+    check_type(text, "text", str)
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -140,6 +141,7 @@ def _format_probability(x: float) -> str:
 
 def cmd_expected(config: GameConfig) -> dict:
     """Expected utilities, the chosen action, and boundary coefficients."""
+    check_type(config, "config", GameConfig)
     u1, u2 = expected_utilities(config.utilities, config.predictor)
     boundary = decision_boundary(config.utilities)
     return {
@@ -173,12 +175,14 @@ def render_region_csv(config: GameConfig) -> str:
 
     The text is built in memory, so the resolution is at most 4096.
     """
+    check_type(config, "config", GameConfig)
     check_int(config.resolution, "resolution", 2, _MAX_RENDER_RESOLUTION)
     return "".join(_region_lines(config))
 
 
 def cmd_region(config: GameConfig, out_path: str) -> None:
     """Write the decision-region CSV to a file, one grid row at a time."""
+    check_type(config, "config", GameConfig)
     _write_text(out_path, _region_lines(config))
 
 
@@ -186,6 +190,7 @@ def cmd_graph(out_path: str, base_chain_only: bool = False) -> None:
     """Write the game graph (or the bare 4-event chain) as DOT."""
     from .tlg import base_chain, game_graph, to_dot
 
+    check_type(base_chain_only, "base_chain_only", bool)
     graph = base_chain(4) if base_chain_only else game_graph()
     _write_text(out_path, [to_dot(graph)])
 
@@ -194,6 +199,7 @@ def cmd_simulate(config: GameConfig) -> dict:
     """Run both-choice Monte Carlo and report theoretical vs numerical."""
     from .sim import RngSpec, compare
 
+    check_type(config, "config", GameConfig)
     table = compare(
         config.utilities,
         config.predictor,
@@ -213,11 +219,14 @@ def cmd_simulate(config: GameConfig) -> dict:
     }
 
 
-def _write_text(path: str, chunks: Iterable[str]) -> None:
+def _write_text(path: str | os.PathLike, chunks: Iterable[str]) -> None:
     # Callers build and check everything the chunks depend on before this
     # call, so a failed open never leaves a partial file behind. The
     # chunks may be produced lazily while they are written, which keeps
-    # only one of them in memory at a time.
+    # only one of them in memory at a time. open() would take an int as a
+    # file descriptor and close it, so only a path is accepted.
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValidationError(f"out_path must be a str or os.PathLike path, got {show(path)}")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(chunks)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import _PUBLIC
-from ._validate import as_tuple, check_int, check_number, check_type, show
+from ._validate import as_tuple, check_int, check_number, check_pair, check_type, show
 from .errors import ValidationError
 
 __all__ = list(_PUBLIC["decision"])
@@ -147,7 +147,8 @@ class RegionGrid:
     columns: c1_spans[i] = (lo, hi) means C1 for lo <= j < hi and C2
     elsewhere, and either lo == 0 or hi == resolution. Built by
     region_grid(); choice_at() looks up one cell. Any iterable of
-    pairs is stored as a tuple of (lo, hi) tuples.
+    spans, each a tuple or list of two ints, is stored as a tuple of
+    (lo, hi) tuples.
     """
 
     resolution: int
@@ -160,10 +161,7 @@ class RegionGrid:
             raise ValidationError(f"grid must hold {r} C1 spans, got {len(spans)}")
         pairs = []
         for i, span in enumerate(spans):
-            try:
-                lo, hi = span
-            except (TypeError, ValueError):
-                raise ValidationError(f"c1_spans[{i}] must be a pair (lo, hi), got {show(span)}") from None
+            lo, hi = check_pair(span, f"c1_spans[{i}]")
             check_int(lo, f"c1_spans[{i}] lo", 0, r)
             check_int(hi, f"c1_spans[{i}] hi", lo, r)
             if lo != 0 and hi != r:

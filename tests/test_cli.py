@@ -313,6 +313,42 @@ def test_cmd_graph_base_chain_only(tmp_path):
     assert "dashed" not in text
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda out: render_region_csv("x"), id="render_region_csv-config"),
+        pytest.param(lambda out: cmd_expected("x"), id="cmd_expected-config"),
+        pytest.param(lambda out: cmd_simulate("x"), id="cmd_simulate-config"),
+        pytest.param(lambda out: cmd_region("x", out), id="cmd_region-config"),
+        pytest.param(lambda out: parse_config(5), id="parse_config-text"),
+        pytest.param(lambda out: cmd_graph(out, base_chain_only="no"), id="cmd_graph-flag"),
+        pytest.param(lambda out: cmd_graph(5), id="cmd_graph-int-path"),
+        pytest.param(lambda out: cmd_region(GameConfig(UtilityMatrix.classic(), PredictorProfile.random()), 5),
+                     id="cmd_region-int-path"),
+    ],
+)
+def test_cli_functions_check_their_arguments(tmp_path, call):
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError):
+        call(out)
+    assert not out.exists()
+
+
+def test_cmd_graph_leaves_a_file_descriptor_open(tmp_path):
+    # open() would write into the descriptor and then close it
+    read_end, write_end = os.pipe()
+    try:
+        with pytest.raises(ValidationError, match="out_path must be a str or os.PathLike path"):
+            cmd_graph(write_end)
+        os.fstat(write_end)  # still open
+        os.set_blocking(read_end, False)
+        with pytest.raises(BlockingIOError):
+            os.read(read_end, 1)  # and nothing was written
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
 def test_cli_expected_runs(tmp_path):
     config = tmp_path / "game.json"
     config.write_text(CLASSIC_JSON)

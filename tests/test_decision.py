@@ -217,7 +217,7 @@ def test_boundary_all_zero_matrix_ties_everywhere():
         pytest.param(lambda: DecisionBoundary(1.0, math.inf, 0.0), id="infinite-coefficient"),
     ],
 )
-def test_boundary_rejects_bad_coefficients_and_accuracies(call):
+def test_boundary_rejects_bad_coefficients(call):
     with pytest.raises(ValidationError):
         call()
 
@@ -317,6 +317,9 @@ def test_region_grid_choice_at_rejects_indices_off_the_grid(i, j):
         (2, 5),  # not iterable
         (2, ((0, 2) for _ in range(3))),  # a generator of one span too many
         (2, [(0, 2), 7]),  # a span that is not iterable
+        (2, [(0, 2), {0: "lo", 2: "hi"}]),  # a dict span: a pair is a tuple or list
+        (2, [(0, 2), {0, 2}]),  # a set span
+        (2, [(0, 2), range(0, 2)]),  # a range span
     ],
 )
 def test_region_grid_rejects_malformed_spans(resolution, spans):

@@ -2,7 +2,9 @@
 
 import inspect
 import math
+import os
 import re
+import tempfile
 from enum import Enum
 from importlib import import_module
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import newcomb
+from newcomb import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -135,12 +138,21 @@ def _instances():
         newcomb.TrialTrace(newcomb.CChoice.C1, newcomb.SChoice.S1, 1.0),
         c1_report,
         newcomb.ComparisonTable(c1_report, c2_report),
+        cli.GameConfig(table, newcomb.PredictorProfile(0.5, 0.5), trials=5, parallelism=1),
     ]
 
 
+# main is left out: argparse reports a bad argv with SystemExit(2), and
+# tests/test_cli.py fuzzes main's argv.
+_CLI = [getattr(cli, name) for name in cli.__all__ if name != "main"]
+# The two functions that write a file may raise OSError, which main maps to exit 3.
+_WRITERS = (cli.cmd_region, cli.cmd_graph)
+
+
 def _surface(instances):
-    """Every exported callable but exception and Enum classes, and every public bound method."""
-    exports = [getattr(newcomb, name) for name in newcomb.__all__[1:]]
+    """Every exported callable of the package and of cli but main, except exception and
+    Enum classes, and every public bound method."""
+    exports = [getattr(newcomb, name) for name in newcomb.__all__[1:]] + _CLI
     methods = [
         getattr(obj, name)
         for obj in instances
@@ -172,13 +184,23 @@ def test_every_public_call_returns_or_raises_a_newcomb_error(f, args):
 
     No call reaches detect_twist's MAX_TWISTS or render_region_csv's
     in-memory resolution bound: the pool's ints are too small or past
-    every size bound, and its sequences hold at most two items.
+    every size bound, and its sequences hold at most two items. The
+    writers get the pool's strings as paths, so each call runs in a
+    fresh temporary directory. A manual chdir, as Python 3.10 has no
+    contextlib.chdir.
     """
-    try:
-        f(*args)
-    except newcomb.NewcombError:
-        pass
-    except TypeError:
-        # only Python's own complaint about the number of arguments
-        with pytest.raises(TypeError):
-            inspect.signature(f).bind(*args)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            f(*args)
+        except newcomb.NewcombError:
+            pass
+        except OSError:
+            assert f in _WRITERS, f
+        except TypeError:
+            # only Python's own complaint about the number of arguments
+            with pytest.raises(TypeError):
+                inspect.signature(f).bind(*args)
+        finally:
+            os.chdir(cwd)

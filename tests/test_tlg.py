@@ -33,8 +33,13 @@ GAME_EDGES = {(1, 2), (2, 3), (3, 4), (3, 5), (5, 2), (2, 6), (6, 7)}
 
 
 def brute_force_closure(graph):
-    """Independent oracle: iterate the transmission rule over all pairs."""
+    """Independent oracle: iterate the transmission rule over all pairs.
+
+    It starts from the graph's classes plus a singleton for each node in
+    no class, and returns the classes of two or more members.
+    """
     classes = [set(c) for c in graph.entanglement]
+    classes += [{n.id} for n in graph.nodes if not any(n.id in c for c in classes)]
 
     def find(x):
         for idx, cls in enumerate(classes):
@@ -59,7 +64,7 @@ def brute_force_closure(graph):
                             classes[ci] |= classes[di]
                             del classes[di]
                             changed = True
-    return {frozenset(c) for c in classes}
+    return {frozenset(c) for c in classes if len(c) > 1}
 
 
 # ── base_chain ─────────────────────────────────────────────────────
@@ -76,6 +81,11 @@ def test_base_chain_game_preset():
         EventKind.OUTCOME,
     ]
     assert chain.nontrivial_classes == ()
+
+
+def test_base_chain_holds_no_entanglement_class():
+    for n in (1, 2, 4, 9):
+        assert base_chain(n).entanglement == ()
 
 
 def test_base_chain_single_node():
@@ -136,6 +146,13 @@ def test_unfold_copies_every_event_after_the_delivery_point():
         (4, 5), (5, 1),          # oracle detour
         (1, 6), (6, 7), (7, 8),  # copied branch
     }
+
+
+def test_unfold_classes_are_exactly_its_copy_pairs():
+    # the pairs (j, copy of j), sorted by their least member, and nothing else
+    for n, k, m in [(2, 1, 2), (4, 2, 3), (4, 1, 4), (9, 4, 7)]:
+        g = unfold(base_chain(n), UnfoldSpec(n, k, m))
+        assert g.entanglement == tuple(frozenset({j, n + 1 + j - k}) for j in range(k + 1, n + 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -328,7 +345,7 @@ def test_graph_rejects_copy_with_different_kind():
 _TWO_NODES = [EventNode(1, EventKind.GENERIC), EventNode(2, EventKind.GENERIC)]
 
 
-def _direct(edges, entanglement=(frozenset({1}), frozenset({2}))):
+def _direct(edges, entanglement=()):
     return TLGraph(nodes=tuple(_TWO_NODES), edges=edges, entanglement=entanglement)
 
 
@@ -362,7 +379,7 @@ def _direct(edges, entanglement=(frozenset({1}), frozenset({2}))):
             lambda: TLGraph(
                 nodes=tuple(_TWO_NODES),
                 edges=frozenset({frozenset({1, 2})}),
-                entanglement=(frozenset({1}), frozenset({2})),
+                entanglement=(),
             ),
             id="direct-edge-as-frozenset",
         ),
@@ -372,7 +389,7 @@ def _direct(edges, entanglement=(frozenset({1}), frozenset({2}))):
             lambda: TLGraph(
                 nodes=tuple(_TWO_NODES),
                 edges=frozenset(),
-                entanglement=(frozenset(), frozenset({1}), frozenset({2})),
+                entanglement=(frozenset(),),
             ),
             id="empty-class",
         ),
@@ -384,7 +401,7 @@ def _direct(edges, entanglement=(frozenset({1}), frozenset({2}))):
             lambda: TLGraph(
                 nodes=(1, 2),
                 edges=frozenset(),
-                entanglement=(frozenset({1}), frozenset({2})),
+                entanglement=(),
             ),
             id="direct-node-not-an-event",
         ),
@@ -398,7 +415,7 @@ def _direct(edges, entanglement=(frozenset({1}), frozenset({2}))):
             lambda: TLGraph(
                 nodes=tuple(_TWO_NODES),
                 edges=[([1], 2)],
-                entanglement=(frozenset({1}), frozenset({2})),
+                entanglement=(),
             ),
             id="direct-edge-of-unhashable-ids",
         ),
@@ -445,6 +462,20 @@ def _direct(edges, entanglement=(frozenset({1}), frozenset({2}))):
 def test_malformed_graph_input_raises_validation_error(make):
     with pytest.raises(ValidationError):
         make()
+
+
+@pytest.mark.parametrize(
+    "entanglement",
+    [
+        pytest.param((frozenset({1}),), id="singleton"),
+        pytest.param((frozenset(), frozenset({1, 2})), id="empty"),
+        pytest.param((frozenset({1, 2}), frozenset({2, 3})), id="overlapping"),
+    ],
+)
+def test_constructor_takes_only_disjoint_classes_of_two_or_more(entanglement):
+    nodes = [EventNode(i, EventKind.GENERIC) for i in (1, 2, 3)]
+    with pytest.raises(ValidationError, match="disjoint classes of two or more node ids"):
+        TLGraph(nodes=tuple(nodes), edges=frozenset(), entanglement=entanglement)
 
 
 @pytest.mark.parametrize(
@@ -754,13 +785,12 @@ def test_closure_adds_nothing_for_one_shared_successor():
 
 def test_closure_partition_laws():
     g = entanglement_closure(game_graph().with_entanglement([(3, 6)]))
-    ids = {n.id for n in g.nodes}
     seen = set()
     for cls in g.entanglement:
         assert not (seen & cls)
         seen |= cls
+        assert len(cls) >= 2
         assert len({g.node(i).kind for i in cls}) == 1
-    assert seen == ids
 
 
 def test_closure_only_merges_never_splits():
