@@ -14,13 +14,14 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
-from typing import Iterable, Iterator
 
 from . import __version__
 from ._validate import MAX_TRIALS, UINT64_MAX, check_int, check_number, check_type, show
 from .decision import (
+    DEFAULT_RESOLUTION,
     MAX_RESOLUTION,
     PredictorProfile,
     UtilityMatrix,
@@ -46,7 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_TRIALS = 50_000
-DEFAULT_RESOLUTION = 101
 # The largest grid render_region_csv builds in memory, about 335 MB of text;
 # cmd_region streams any resolution up to MAX_RESOLUTION.
 _MAX_RENDER_RESOLUTION = 1 << 12
@@ -308,7 +308,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -40,6 +40,8 @@ __all__ = list(_PUBLIC["decision"])
 # The largest grid resolution: its CSV already has 2^32 rows (56 GiB), and
 # setup to the first row grows with it (20 MB, 2 s; 325 MB, 30 s at 2^20).
 MAX_RESOLUTION = 1 << 16
+# The grid resolution of region_grid and of a configuration that names none.
+DEFAULT_RESOLUTION = 101
 
 
 class CChoice(Enum):
@@ -84,10 +86,7 @@ class UtilityMatrix:
     def payoff(self, s: SChoice, c: CChoice) -> float:
         """Table lookup v[s][c]."""
         check_type(s, "s", SChoice)
-        check_type(c, "c", CChoice)
-        if s is SChoice.S1:
-            return self.v11 if c is CChoice.C1 else self.v12
-        return self.v21 if c is CChoice.C1 else self.v22
+        return self.column(c)[s is SChoice.S2]
 
     def column(self, c: CChoice) -> tuple[float, float]:
         """The (v1j, v2j) column for C's choice j."""
@@ -111,10 +110,6 @@ class PredictorProfile:
     def __post_init__(self) -> None:
         for name in ("p1", "p2"):
             object.__setattr__(self, name, check_number(getattr(self, name), name, 0, 1))
-
-    @classmethod
-    def random(cls) -> "PredictorProfile":
-        return cls(0.5, 0.5)
 
     def s1_probability(self, c: CChoice) -> float:
         """P(S = S1 | C = c)."""
@@ -206,7 +201,7 @@ def decision_boundary(v: UtilityMatrix) -> DecisionBoundary:
     return DecisionBoundary(a1=v.v11 - v.v21, a2=v.v12 - v.v22, b=v.v12 - v.v21)
 
 
-def region_grid(v: UtilityMatrix, resolution: int = 101) -> RegionGrid:
+def region_grid(v: UtilityMatrix, resolution: int = DEFAULT_RESOLUTION) -> RegionGrid:
     """Evaluate choose() on an inclusive resolution x resolution grid.
 
     The first index runs over p1, the second over p2, both ascending

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from . import _PUBLIC
 from ._validate import as_tuple, check_int, check_pair, check_type, show
@@ -367,9 +367,10 @@ def game_graph() -> TLGraph:
 def player_timeline(tlg: TLGraph, player: Player) -> tuple[int, ...]:
     """A player's walk through an unfolded chain, as a tuple of node ids.
 
-    The graph must be unfold(base_chain(n), UnfoldSpec(n, k, m)) for
-    some n, k and m; they are read back from the original events and
-    the detour m -> E -> k through the elaboration node E = n+1. The
+    The graph must be unfold(chain, UnfoldSpec(n, k, m)) for a chain of
+    n events and some k and m; n, k and m are read back from the original
+    events and the detour m -> E -> k through the elaboration node
+    E = n+1, and the chain is the graph's first n nodes. The
     copies n+2 .. 2n+1-k carry the events after k. C walks the plain
     chain 1..n; S walks 1..k, then follows the answer into the copies;
     the oracle walks 1..k-1, runs ahead to m, elaborates in E, comes
@@ -386,10 +387,14 @@ def player_timeline(tlg: TLGraph, player: Player) -> tuple[int, ...]:
     detour = sorted(edge for edge in tlg.edges if n + 1 in edge)
     try:
         (m, _), (_, k) = detour
-        spec = UnfoldSpec(n, k, m)
-    except ValueError:  # not two detour edges, or ValidationError from the spec
-        spec = None
-    if spec is None or tlg != unfold(base_chain(n), spec):
+        # the graph's own first n nodes, joined 1 -> 2 -> ... -> n
+        chain = _graph(tlg.nodes[:n], frozenset(zip(range(1, n), range(2, n + 1))), ())
+        unfolded = unfold(chain, UnfoldSpec(n, k, m))
+    except (ValueError, GraphStructureError):
+        # not two detour edges, a ValidationError from the spec, or
+        # first nodes that are not the original events 1..n
+        unfolded = None
+    if tlg != unfolded:
         raise UnsupportedGraphError("timelines are only defined for an unfolded chain")
     copies = range(n + 2, 2 * n + 2 - k)
     if player is Player.C:

@@ -33,6 +33,7 @@ from newcomb.decision import MAX_RESOLUTION
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 CLASSIC_JSON = '{"utilities": [[10000, 0], [1010000, 1000000]], "predictor": [0.5, 0.5]}'
+RANDOM_P = PredictorProfile(0.5, 0.5)
 
 # Child interpreters import the package from the same source tree as this one.
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(newcomb.__file__)))
@@ -263,7 +264,7 @@ _UTILITY_VALUES = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(utilities=st.lists(_UTILITY_VALUES, min_size=4, max_size=4), resolution=st.integers(2, 64))
 def test_region_csv_matches_a_per_cell_reference(utilities, resolution):
-    config = GameConfig(UtilityMatrix(*utilities), PredictorProfile.random(), resolution=resolution)
+    config = GameConfig(UtilityMatrix(*utilities), RANDOM_P, resolution=resolution)
     # Compared as lists of lines, which join back to the same text, so a
     # failure names the first differing line.
     got = render_region_csv(config).splitlines(keepends=True)
@@ -273,7 +274,7 @@ def test_region_csv_matches_a_per_cell_reference(utilities, resolution):
 def test_cmd_region_streams_in_bounded_memory(tmp_path):
     # The CSV at r = 1201 is about 28 MB; writing it row by row holds
     # only O(r) strings at a time.
-    config = GameConfig(UtilityMatrix.classic(), PredictorProfile.random(), resolution=1201)
+    config = GameConfig(UtilityMatrix.classic(), RANDOM_P, resolution=1201)
     out = tmp_path / "region.csv"
     tracemalloc.start()
     try:
@@ -288,7 +289,7 @@ def test_cmd_region_streams_in_bounded_memory(tmp_path):
 
 def test_render_region_csv_refuses_a_grid_past_its_in_memory_bound():
     # cmd_region streams this grid; the whole text would be over 335 MB
-    config = GameConfig(UtilityMatrix.classic(), PredictorProfile.random(), resolution=(1 << 12) + 1)
+    config = GameConfig(UtilityMatrix.classic(), RANDOM_P, resolution=(1 << 12) + 1)
     with pytest.raises(ValidationError, match=f"resolution must be <= {1 << 12}, got {(1 << 12) + 1}"):
         render_region_csv(config)
 
@@ -323,7 +324,7 @@ def test_cmd_graph_base_chain_only(tmp_path):
         pytest.param(lambda out: parse_config(5), id="parse_config-text"),
         pytest.param(lambda out: cmd_graph(out, base_chain_only="no"), id="cmd_graph-flag"),
         pytest.param(lambda out: cmd_graph(5), id="cmd_graph-int-path"),
-        pytest.param(lambda out: cmd_region(GameConfig(UtilityMatrix.classic(), PredictorProfile.random()), 5),
+        pytest.param(lambda out: cmd_region(GameConfig(UtilityMatrix.classic(), RANDOM_P), 5),
                      id="cmd_region-int-path"),
     ],
 )

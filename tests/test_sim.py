@@ -117,6 +117,18 @@ def test_kernel_counts_the_draws_of_trial_streams(seed, n, at_top, start, q):
     assert sim._count_s1(seed, start, start + n, q) == expected
 
 
+@pytest.mark.parametrize("at_top", [False, True], ids=["from-0", "to-2^64"])
+def test_kernel_counts_the_draws_of_trial_streams_across_chunks(at_top):
+    # two full kernel chunks and three trials more; at_top ends the span at 2^64
+    n = 2 * sim._CHUNK + 3
+    start = (1 << 64) - n if at_top else 0
+    seed = 0x243F6A8885A308D3
+    draws = [TrialStream(seed, i).uniform() for i in range(start, start + n)]
+    # 0.3 lies between two cut points k * 2^-53; the second q is one
+    for q in (0.3, 3602879701896397 * 2.0**-53):
+        assert sim._count_s1(seed, start, start + n, q) == sum(u < q for u in draws)
+
+
 # ── play_once ──────────────────────────────────────────────────────
 
 

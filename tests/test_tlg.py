@@ -177,8 +177,14 @@ def test_unfold_spec_rejects_bad_indices(n, k, m):
 
 
 def test_unfold_rejects_non_chain_input():
-    with pytest.raises(GraphStructureError):
-        unfold(game_graph(), GAME_UNFOLD)
+    events = [EventNode(i, EventKind.GENERIC) for i in range(1, 5)]
+    shuffled = TLGraph.build(events, [(1, 3), (3, 2), (2, 4)])
+    with pytest.raises(GraphStructureError, match="input graph is not a chain"):
+        unfold(shuffled, UnfoldSpec(4, 2, 3))
+    # the right edges, but node 4 is a copy of node 3
+    holding_a_copy = TLGraph.build([*events[:3], EventNode(4, EventKind.GENERIC, 3)], [(1, 2), (2, 3), (3, 4)])
+    with pytest.raises(GraphStructureError, match=r"expected the original events 1\.\.4, with no copy"):
+        unfold(holding_a_copy, UnfoldSpec(4, 2, 3))
 
 
 def test_unfold_rejects_length_mismatch():
@@ -578,6 +584,20 @@ def test_player_timelines_follow_the_rule_on_long_chains(data):
     k = data.draw(st.integers(1, n - 1))
     m = data.draw(st.integers(k + 1, n))
     _assert_timelines_follow_the_rule(n, k, m)
+
+
+def test_player_timelines_of_an_unfolded_hand_built_chain():
+    # its kinds differ from base_chain(3)'s GENERIC events
+    chain = TLGraph.build([EventNode(i, EventKind.C_CHOICE) for i in (1, 2, 3)], [(1, 2), (2, 3)])
+    graph = unfold(chain, UnfoldSpec(3, 2, 3))
+    assert player_timeline(graph, Player.C) == (1, 2, 3)
+    assert player_timeline(graph, Player.S) == (1, 2, 5)
+    assert player_timeline(graph, Player.OMEGA) == (1, 3, 4, 2, 5)
+    graph = unfold(chain, UnfoldSpec(3, 1, 2))
+    assert player_timeline(graph, Player.C) == (1, 2, 3)
+    assert player_timeline(graph, Player.S) == (1, 5, 6)
+    with pytest.raises(UnsupportedGraphError, match="needs k >= 2"):
+        player_timeline(graph, Player.OMEGA)
 
 
 def test_c_and_s_timelines_are_defined_at_k_1():
