@@ -8,8 +8,9 @@ Every export loads on first use: `import newcomb` imports none of the
 submodules, and reading a name (or a submodule such as `newcomb.tlg`)
 imports only the submodule that defines it.
 
-`_PUBLIC` is the one list of public names: `decision`, `tlg` and `sim`
-read their `__all__` from it, as this module imports no submodule.
+`_PUBLIC` is the one list of public names: `decision`, `tlg`, `sim`
+and `errors` read their `__all__` from it, as this module imports no
+submodule.
 """
 
 from importlib import import_module

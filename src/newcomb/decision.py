@@ -180,7 +180,13 @@ def expected_utilities(v: UtilityMatrix, p: PredictorProfile) -> tuple[float, fl
     """Return (U1, U2), C's expected payoff for each choice.
 
     U1 = v21 + p1*(v11 - v21) and U2 = v12 + p2*(v22 - v12), evaluated
-    directly in double precision with no extra rounding.
+    directly in double precision with no extra rounding. At p1 = 0 and
+    p2 = 0 that gives v21 and v12 exactly, but at p1 = 1 or p2 = 1 the
+    rounding can miss v11 or v22 on a table with non-integer entries:
+    UtilityMatrix(1142.8, 493577.9, 867602.8, 243910.9) at p1 = 1 gives
+    U1 = 1142.8000000000466, while a perfect predictor's batch mean,
+    which is exact, gives 1142.8. The form is kept, as region_grid's
+    bisection relies on its being monotone in p.
     """
     check_type(v, "v", UtilityMatrix)
     check_type(p, "p", PredictorProfile)

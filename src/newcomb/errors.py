@@ -1,5 +1,9 @@
 """Exception hierarchy shared by all newcomb modules."""
 
+from . import _PUBLIC
+
+__all__ = list(_PUBLIC["errors"])
+
 
 class NewcombError(Exception):
     """Base class for every error raised by this package."""

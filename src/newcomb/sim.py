@@ -17,9 +17,11 @@ Randomness is counter-based: trial i of seed s draws from a SplitMix64
 stream indexed by (s, i), so results do not depend on execution order
 or worker count. A batch is split into contiguous spans of trial
 indices, at most one per worker, with the workers capped by the cores
-and by the number of kernel chunks. S1 outcomes are counted exactly,
-so the split never changes a result: batch means are bit-identical at
-any parallelism degree.
+and by the number of kernel chunks; at P(S=S1|C=Cj) = 0 or 1 no draw
+is needed, and one worker runs the batch. S1 outcomes are counted
+exactly, and the batch mean is the exact mean of their utilities,
+rounded once, so the split never changes a result: batch means are
+bit-identical at any parallelism degree.
 """
 
 from __future__ import annotations
@@ -242,10 +244,10 @@ def monte_carlo(
 
     Trial i uses the stream for index first_trial + i. The trials are
     split into contiguous spans, at most one per worker, with the
-    workers capped by parallelism, the cores and the kernel's chunks.
-    S1 outcomes are counted exactly, so the split never changes a
-    result: the reported mean is bit-identical for any parallelism
-    degree.
+    workers capped by parallelism, the cores and the kernel's chunks,
+    and one worker at P(S=S1|C=Cj) = 0 or 1, which needs no draws. The
+    mean is the exact mean of the n counted utilities, rounded once, so
+    it is bit-identical for any parallelism degree.
     """
     check_type(v, "v", UtilityMatrix)
     check_type(p, "p", PredictorProfile)
@@ -262,7 +264,7 @@ def monte_carlo(
     started = time.perf_counter()
     s1_prob = p.s1_probability(c_choice)
     workers = min(parallelism, os.cpu_count() or 1, -(-n // _CHUNK))
-    if workers == 1:
+    if workers == 1 or not 0.0 < s1_prob < 1.0:  # at q = 0 or 1 there is nothing to draw
         n_s1 = _count_s1(rng.seed, first_trial, first_trial + n, s1_prob)
     else:
         from concurrent.futures import ThreadPoolExecutor
@@ -272,14 +274,9 @@ def monte_carlo(
             spans = pool.map(_count_s1, repeat(rng.seed), edges[:-1], edges[1:], repeat(s1_prob))
             n_s1 = sum(spans)
 
-    v1, v2 = v.column(c_choice)
-    empirical_mean = (n_s1 * v1 + (n - n_s1) * v2) / n
-    if not math.isfinite(empirical_mean):
-        # The weighted sum overflowed, but the mean lies between v1 and v2:
-        # evaluate it exactly and round once, which is always finite.
-        from fractions import Fraction
-
-        empirical_mean = float((n_s1 * Fraction(v1) + (n - n_s1) * Fraction(v2)) / n)
+    # int / int rounds once; the mean lies between v1 and v2, so it is finite
+    (a1, b1), (a2, b2) = (u.as_integer_ratio() for u in v.column(c_choice))
+    empirical_mean = (n_s1 * a1 * b2 + (n - n_s1) * a2 * b1) / (n * b1 * b2)
     u1, u2 = expected_utilities(v, p)
     return SimulationReport(
         c_choice=c_choice,

@@ -388,7 +388,8 @@ def test_cli_simulate_prints_strict_json_near_the_float_limit(tmp_path):
 def test_each_command_loads_only_its_layers(tmp_path):
     # Each case runs in a fresh interpreter, which must not load the modules
     # listed with it: the layers the command does not run, the thread pool
-    # of a one-worker batch, and numpy when no batch has 0 < q < 1.
+    # of a one-worker batch, and numpy when no batch has 0 < q < 1. Batches
+    # at q = 0 or 1 run on one worker, however many chunks they span.
     config = tmp_path / "game.json"
     config.write_text(CLASSIC_JSON)
     perfect = tmp_path / "perfect.json"
@@ -400,7 +401,10 @@ def test_each_command_loads_only_its_layers(tmp_path):
         (["region", "--config", str(config), "--out", str(tmp_path / "region.csv")], closed_form_only),
         (["graph", "--out", str(tmp_path / "tlg.dot")], ["newcomb.sim", "numpy"]),
         (["simulate", "--config", str(config), "--parallelism", "1"], ["newcomb.tlg", "concurrent.futures"]),
-        (["simulate", "--config", str(perfect)], ["numpy"]),
+        (
+            ["simulate", "--config", str(perfect), "--trials", "200000", "--parallelism", "2"],
+            ["concurrent.futures", "numpy"],
+        ),
     ]
     for argv, unloaded in cases:
         script = f"""

@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from newcomb import (
 )
 
 CLASSIC = UtilityMatrix.classic()
+# Non-integer entries, so a batch sum is not exact in double precision
+NON_INTEGER = UtilityMatrix(443760.389071749, 301636.2352849764, 741462.8231411909, 605851.7327762253)
 RANDOM_P = PredictorProfile(0.5, 0.5)
 PERFECT_P = PredictorProfile(1.0, 1.0)
 
@@ -234,18 +237,20 @@ def test_monte_carlo_single_trial_equals_that_play():
 
 def test_monte_carlo_matches_scalar_replay():
     profile = PredictorProfile(0.25, 0.6)
-    # (n, first_trial, profile, choice); C1 draws S1 with probability p1
-    cases = [(n, 0, profile, CChoice.C2) for n in (1, 3, 20, 2_500, 5_000)]
+    # (table, n, first_trial, profile, choice); C1 draws S1 with probability p1
+    cases = [(CLASSIC, n, 0, profile, CChoice.C2) for n in (1, 3, 20, 2_500, 5_000)]
     cases += [
-        (2_000, 0, PredictorProfile(q, 0.5), CChoice.C1)
+        (CLASSIC, 2_000, 0, PredictorProfile(q, 0.5), CChoice.C1)
         for q in (0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0)
     ]
-    cases.append((3_000, (1 << 64) - 3_000, profile, CChoice.C2))  # the Weyl offset wraps
+    cases.append((CLASSIC, 3_000, (1 << 64) - 3_000, profile, CChoice.C2))  # the Weyl offset wraps
+    cases.append((NON_INTEGER, 2_000, 0, profile, CChoice.C2))
     rng = RngSpec(5)
-    for n, first, p, c in cases:
-        report = monte_carlo(CLASSIC, p, c, n, rng, first_trial=first)
-        utilities = [play_once(CLASSIC, p, c, rng.stream(first + i)).utility for i in range(n)]
-        assert report.empirical_mean == sum(utilities) / n
+    for v, n, first, p, c in cases:
+        report = monte_carlo(v, p, c, n, rng, first_trial=first)
+        utilities = [play_once(v, p, c, rng.stream(first + i)).utility for i in range(n)]
+        # the exact mean, rounded once
+        assert report.empirical_mean == float(sum(map(Fraction, utilities)) / n)
 
 
 def test_monte_carlo_respects_first_trial_offset():
@@ -268,14 +273,43 @@ def test_monte_carlo_parallelism_is_bit_identical(monkeypatch):
                 run = monte_carlo(CLASSIC, p, CChoice.C1, n, RngSpec(13), parallelism=workers)
                 assert run.empirical_mean == base.empirical_mean
 
-    # a degree far beyond the cores and chunks is capped to one serial span
+    # a degree far beyond the cores and chunks is capped to one serial span,
+    # and a batch that needs no draws runs serially however many chunks it spans
     def no_pool(*args, **kwargs):
-        raise AssertionError("a single-chunk batch started a thread pool")
+        raise AssertionError("a serial batch started a thread pool")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     base = monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, 1_000, RngSpec(13), parallelism=1)
     run = monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, 1_000, RngSpec(13), parallelism=10**6)
     assert run.empirical_mean == base.empirical_mean
+    run = monte_carlo(CLASSIC, PERFECT_P, CChoice.C1, 3 * sim._CHUNK + 1, RngSpec(13), parallelism=8)
+    assert run.empirical_mean == 10_000.0
+
+
+_PAYOFFS = st.one_of(st.floats(0, 1e6), st.floats(0, 1.7976931348623157e308))
+_ACCURACIES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+
+
+@settings(deadline=None)
+@given(
+    table=st.lists(_PAYOFFS, min_size=4, max_size=4),
+    one_payoff=st.booleans(),
+    p=st.builds(PredictorProfile, _ACCURACIES, _ACCURACIES),
+    c=st.sampled_from(CChoice),
+    n=st.integers(1, 1 << 12),
+    seed=st.integers(0, (1 << 64) - 1),
+)
+def test_monte_carlo_mean_is_the_exact_mean_rounded_once(table, one_payoff, p, c, n, seed):
+    column = 0 if c is CChoice.C1 else 1  # the table is (v11, v12, v21, v22)
+    if one_payoff:  # v2j = v1j: every trial pays the same
+        table[2 + column] = table[column]
+    v = UtilityMatrix(*table)
+    report = monte_carlo(v, p, c, n, RngSpec(seed))
+    v1, v2 = v.column(c)
+    k = sim._count_s1(seed, 0, n, p.s1_probability(c))
+    assert report.empirical_mean == float((k * Fraction(v1) + (n - k) * Fraction(v2)) / n)
+    if v1 == v2:
+        assert report.empirical_mean == v1 == report.theoretical
 
 
 def test_monte_carlo_report_fields():
@@ -424,6 +458,9 @@ def test_compare_perfect_predictor_table_is_exact():
     table = compare(CLASSIC, PERFECT_P, 50_000, RngSpec(0))
     assert table.theoretical == (10_000.0, 1_000_000.0)
     assert table.empirical == (10_000.0, 1_000_000.0)
+    # each batch pays one amount v on every trial; in floats, n * v / n can miss v
+    table = compare(NON_INTEGER, PERFECT_P, 414_702_302)
+    assert table.empirical == (NON_INTEGER.v11, NON_INTEGER.v22)
 
 
 def test_compare_random_predictor_within_three_se():
