@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 
 from . import __version__
@@ -54,17 +54,14 @@ _MAX_RENDER_RESOLUTION = 1 << 12
 
 @dataclass(frozen=True)
 class GameConfig:
-    """A run configuration; every instance, replaced ones included, is valid.
-
-    parallelism defaults to the machine's logical cores.
-    """
+    """A run configuration; every instance, replaced ones included, is valid."""
 
     utilities: UtilityMatrix
     predictor: PredictorProfile
     trials: int = DEFAULT_TRIALS
     seed: int = 0
     resolution: int = DEFAULT_RESOLUTION
-    parallelism: int = field(default_factory=lambda: os.cpu_count() or 1)
+    parallelism: int = 1
 
     def __post_init__(self) -> None:
         check_type(self.utilities, "utilities", UtilityMatrix)
@@ -289,18 +286,22 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         args.usage.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        if args.command == "expected":
-            document = cmd_expected(_load_config(args))
-            print(json.dumps(document, indent=2, allow_nan=False))
+        if args.command in ("expected", "simulate"):
+            report = cmd_expected if args.command == "expected" else cmd_simulate
+            config = _load_config(args)
+            # With fd 1 closed at start-up, sys.stdout is None and print writes
+            # nothing, so the report is refused before any trial is drawn.
+            if sys.stdout is None:
+                raise OSError("cannot write the report: stdout is closed")
+            # One write, so that an unbuffered stdout never sends the newline
+            # after a reader such as `grep -q` has already gone.
+            sys.stdout.write(json.dumps(report(config), indent=2, allow_nan=False) + "\n")
         elif args.command == "region":
             cmd_region(_load_config(args), args.out)
         elif args.command == "graph":
             if args.config is not None:
                 _load_config(args)  # validate when given; content is not used
             cmd_graph(args.out, base_chain_only=args.base_chain_only)
-        elif args.command == "simulate":
-            document = cmd_simulate(_load_config(args))
-            print(json.dumps(document, indent=2, allow_nan=False))
     except NewcombError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

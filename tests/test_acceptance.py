@@ -36,6 +36,7 @@ from newcomb import (
     unfold,
     validate_linearity,
 )
+from newcomb import sim
 
 CLASSIC = UtilityMatrix.classic()
 
@@ -167,7 +168,8 @@ def test_criterion_09_property_suite():
         assert choose(UtilityMatrix(*(entries * scale)), p) is picked
 
     # parallel determinism
-    for n in (4_097, 50_000):
+    # (the last size spans several chunks, so eight workers split it)
+    for n in (4_097, 50_000, 3 * sim._CHUNK + 1):
         solo = monte_carlo(CLASSIC, PredictorProfile(0.5, 0.5), CChoice.C1, n, RngSpec(7), parallelism=1)
         eight = monte_carlo(CLASSIC, PredictorProfile(0.5, 0.5), CChoice.C1, n, RngSpec(7), parallelism=8)
         assert solo.empirical_mean == eight.empirical_mean

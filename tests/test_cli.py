@@ -74,7 +74,7 @@ def test_parse_config_classic_defaults():
     assert config.trials == 50_000
     assert config.seed == 0
     assert config.resolution == 101
-    assert config.parallelism >= 1
+    assert config.parallelism == 1
 
 
 def test_parse_config_requires_utilities():
@@ -401,6 +401,7 @@ def test_each_command_loads_only_its_layers(tmp_path):
         (["region", "--config", str(config), "--out", str(tmp_path / "region.csv")], closed_form_only),
         (["graph", "--out", str(tmp_path / "tlg.dot")], ["newcomb.sim", "numpy"]),
         (["simulate", "--config", str(config), "--parallelism", "1"], ["newcomb.tlg", "concurrent.futures"]),
+        (["simulate", "--config", str(config), "--trials", "200000"], ["newcomb.tlg", "concurrent.futures"]),
         (
             ["simulate", "--config", str(perfect), "--trials", "200000", "--parallelism", "2"],
             ["concurrent.futures", "numpy"],
@@ -513,6 +514,43 @@ def test_cli_io_error_leaves_no_partial_file(tmp_path):
     result = run_cli("region", "--config", str(config), "--out", str(missing_dir))
     assert result.returncode == 3
     assert not missing_dir.exists()
+
+
+def test_cli_report_to_a_closed_stdout_exits_3(tmp_path):
+    # sh closes fd 1 before the interpreter starts, so sys.stdout is None.
+    config = tmp_path / "game.json"
+    config.write_text(CLASSIC_JSON)
+    commands = [
+        (["expected", "--config", str(config)], 3),
+        (["simulate", "--config", str(config), "--trials", "100"], 3),
+        (["region", "--config", str(config), "--out", str(tmp_path / "region.csv")], 0),
+        (["graph", "--out", str(tmp_path / "tlg.dot")], 0),
+    ]
+    for argv, code in commands:
+        result = subprocess.run(
+            ["sh", "-c", '"$0" -m newcomb "$@" >&-', sys.executable, *argv],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert result.returncode == code, (argv, result.stderr)
+        if code == 3:
+            assert result.stderr == "error: cannot write the report: stdout is closed\n"
+
+
+def test_cli_report_is_written_in_one_call(tmp_path):
+    # On an unbuffered stdout each write is a system call, and a reader such
+    # as `grep -q` may leave after the first one, so the newline goes with it.
+    config = tmp_path / "game.json"
+    config.write_text(CLASSIC_JSON)
+    for argv in (["expected"], ["simulate", "--trials", "100"]):
+        writes = []
+        stdout = io.StringIO()
+        stdout.write = writes.append
+        with redirect_stdout(stdout):
+            assert main([*argv, "--config", str(config)]) == 0
+        assert len(writes) == 1 and writes[0].endswith("}\n"), writes
+        strict_json(writes[0])
 
 
 def test_cli_usage_error_exits_2():
@@ -762,9 +800,27 @@ def test_cli_main_on_arbitrary_configs_and_argv(fuzz_dir, data):
         assert stderr.getvalue().startswith("error: "), (argv, stderr.getvalue())
 
 
-def test_default_parallelism_uses_machine_cores():
+def test_default_parallelism_is_one():
     config = GameConfig(
         utilities=UtilityMatrix.classic(),
         predictor=PredictorProfile(0.5, 0.5),
     )
-    assert config.parallelism >= 1
+    assert config.parallelism == 1
+
+
+def test_default_config_prints_the_same_bytes_on_any_host(tmp_path, monkeypatch):
+    # Three chunks of trials: a default that followed the cores would
+    # split the batch on a 64-core host and echo a different degree.
+    config = tmp_path / "game.json"
+    config.write_text(CLASSIC_JSON)
+    for argv in (["expected"], ["simulate", "--trials", str(3 * 65_536 + 1)]):
+        texts = []
+        for cores in (1, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            stdout = io.StringIO()
+            with redirect_stdout(stdout):
+                assert main([*argv, "--config", str(config)]) == 0
+            lines = stdout.getvalue().splitlines(keepends=True)
+            texts.append("".join(line for line in lines if '"elapsed_seconds"' not in line))
+        assert texts[0] == texts[1]
+        assert '"parallelism": 1\n' in texts[0]

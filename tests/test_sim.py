@@ -265,7 +265,9 @@ def test_monte_carlo_respects_first_trial_offset():
 
 def test_monte_carlo_parallelism_is_bit_identical(monkeypatch):
     # the last two sizes span several kernel chunks and split unevenly;
-    # the perfect predictor makes a lost or repeated trial change the mean
+    # the perfect predictor makes a lost or repeated trial change the mean.
+    # Eight reported cores let 2 and 8 workers split them on any host.
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
     for n in (1, 4_096, 4_097, 50_000, 3 * sim._CHUNK + 1, 5 * sim._CHUNK - 7):
         for p in (RANDOM_P, PERFECT_P):
             base = monte_carlo(CLASSIC, p, CChoice.C1, n, RngSpec(13), parallelism=1)
