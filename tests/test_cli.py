@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import newcomb
 from newcomb import ConfigError, PredictorProfile, UtilityMatrix, ValidationError, choose
 from newcomb.cli import (
+    DEFAULT_TRIALS,
     GameConfig,
     _build_parser,
     _format_probability,
@@ -387,27 +388,36 @@ def test_cli_simulate_prints_strict_json_near_the_float_limit(tmp_path):
 
 def test_each_command_loads_only_its_layers(tmp_path):
     # Each case runs in a fresh interpreter, which must not load the modules
-    # listed with it: the layers the command does not run, the thread pool
-    # of a one-worker batch, and numpy when no batch has 0 < q < 1. Batches
-    # at q = 0 or 1 run on one worker, however many chunks they span.
+    # listed first with it: the layers the command does not run, the thread
+    # pool of a one-worker batch, and numpy unless a batch has 0 < q < 1 and
+    # more than sim._LANE_MAX trials. It must load the modules listed second.
+    # Batches at q = 0 or 1 run on one worker, however many chunks they span.
     config = tmp_path / "game.json"
     config.write_text(CLASSIC_JSON)
     perfect = tmp_path / "perfect.json"
     perfect.write_text(CLASSIC_JSON.replace("[0.5, 0.5]", "[1, 1]"))
     closed_form_only = ["newcomb.sim", "newcomb.tlg", "concurrent.futures", "numpy"]
+    simulate_only = ["newcomb.tlg", "concurrent.futures", "numpy"]
+    past_lanes = str(newcomb.sim._LANE_MAX + 1)
     cases = [
-        (None, ["newcomb.decision", "newcomb.sim", "newcomb.tlg", "newcomb.cli", "numpy"]),
-        (["expected", "--config", str(config)], closed_form_only),
-        (["region", "--config", str(config), "--out", str(tmp_path / "region.csv")], closed_form_only),
-        (["graph", "--out", str(tmp_path / "tlg.dot")], ["newcomb.sim", "numpy"]),
-        (["simulate", "--config", str(config), "--parallelism", "1"], ["newcomb.tlg", "concurrent.futures"]),
-        (["simulate", "--config", str(config), "--trials", "200000"], ["newcomb.tlg", "concurrent.futures"]),
+        (None, ["newcomb.decision", "newcomb.sim", "newcomb.tlg", "newcomb.cli", "numpy"], []),
+        (["expected", "--config", str(config)], closed_form_only, []),
+        (["region", "--config", str(config), "--out", str(tmp_path / "region.csv")], closed_form_only, []),
+        (["graph", "--out", str(tmp_path / "tlg.dot")], ["newcomb.sim", "numpy"], []),
+        (["simulate", "--config", str(config), "--parallelism", "1"], simulate_only, []),
+        (["simulate", "--config", str(config), "--trials", "200000"], simulate_only, []),
+        (
+            ["simulate", "--config", str(config), "--trials", past_lanes],
+            ["newcomb.tlg", "concurrent.futures"],
+            ["numpy"],
+        ),
         (
             ["simulate", "--config", str(perfect), "--trials", "200000", "--parallelism", "2"],
             ["concurrent.futures", "numpy"],
+            [],
         ),
     ]
-    for argv, unloaded in cases:
+    for argv, unloaded, needed in cases:
         script = f"""
 import sys
 import newcomb
@@ -416,11 +426,35 @@ if {argv!r} is not None:
     assert cli.main({argv!r}) == 0
 loaded = sorted(set({unloaded!r}) & set(sys.modules))
 assert not loaded, loaded
+missing = sorted(set({needed!r}) - set(sys.modules))
+assert not missing, missing
 """
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
         )
         assert result.returncode == 0, (argv, result.stderr)
+
+
+def test_compare_without_numpy_matches_the_numpy_kernel():
+    # A fresh interpreter has not loaded numpy, so it counts batches of up
+    # to sim._LANE_MAX trials on Python ints; this process, which loads
+    # numpy first, counts them with numpy's kernel.
+    import numpy  # noqa: F401
+
+    sizes = [DEFAULT_TRIALS, newcomb.sim._LANE_MAX]
+    script = f"""
+import sys
+from newcomb import PredictorProfile, UtilityMatrix, compare
+for n in {sizes!r}:
+    print(repr(compare(UtilityMatrix.classic(), PredictorProfile(0.5, 0.5), n).empirical))
+assert "numpy" not in sys.modules
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert result.returncode == 0, result.stderr
+    expected = [repr(newcomb.compare(UtilityMatrix.classic(), RANDOM_P, n).empirical) for n in sizes]
+    assert result.stdout.splitlines() == expected
 
 
 def test_submodules_and_omega_order_resolve_after_a_bare_import():

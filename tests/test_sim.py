@@ -105,6 +105,13 @@ def _thresholds():
     return st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), cut, beside, st.floats(0.0, 1.0))
 
 
+# The two S1 counters, each with the trials it handles in one pass.
+KERNELS = pytest.mark.parametrize(
+    "count, chunk", [(sim._count_s1, sim._CHUNK), (sim._count_s1_lanes, sim._LANES)], ids=["numpy", "lanes"]
+)
+
+
+@KERNELS
 @settings(deadline=None)
 @given(
     seed=st.integers(0, (1 << 64) - 1),
@@ -113,23 +120,39 @@ def _thresholds():
     start=st.integers(0, (1 << 64) - (1 << 10)),
     q=_thresholds(),
 )
-def test_kernel_counts_the_draws_of_trial_streams(seed, n, at_top, start, q):
+def test_kernel_counts_the_draws_of_trial_streams(count, chunk, seed, n, at_top, start, q):
     # at_top puts the span against 2^64, where the Weyl offset wraps
     start = (1 << 64) - n - start % 4 if at_top else start
     expected = sum(TrialStream(seed, i).uniform() < q for i in range(start, start + n))
-    assert sim._count_s1(seed, start, start + n, q) == expected
+    assert count(seed, start, start + n, q) == expected
 
 
+@KERNELS
 @pytest.mark.parametrize("at_top", [False, True], ids=["from-0", "to-2^64"])
-def test_kernel_counts_the_draws_of_trial_streams_across_chunks(at_top):
-    # two full kernel chunks and three trials more; at_top ends the span at 2^64
-    n = 2 * sim._CHUNK + 3
+def test_kernel_counts_the_draws_of_trial_streams_across_chunks(count, chunk, at_top):
+    # two full passes of the kernel and three trials more; at_top ends the span at 2^64
+    n = 2 * chunk + 3
     start = (1 << 64) - n if at_top else 0
     seed = 0x243F6A8885A308D3
     draws = [TrialStream(seed, i).uniform() for i in range(start, start + n)]
     # 0.3 lies between two cut points k * 2^-53; the second q is one
     for q in (0.3, 3602879701896397 * 2.0**-53):
-        assert sim._count_s1(seed, start, start + n, q) == sum(u < q for u in draws)
+        assert count(seed, start, start + n, q) == sum(u < q for u in draws)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, (1 << 64) - 1),
+    n=st.integers(0, 4 * sim._LANES),
+    at_top=st.booleans(),
+    start=st.integers(0, (1 << 64) - 4 * sim._LANES),
+    q=_thresholds(),
+)
+def test_lane_and_numpy_kernels_agree_across_lane_passes(seed, n, at_top, start, q):
+    # Spans of up to four lane passes, whose last pass is usually a short one;
+    # at_top puts the span against 2^64, where the Weyl offset wraps
+    start = (1 << 64) - n - start % 4 if at_top else start
+    assert sim._count_s1_lanes(seed, start, start + n, q) == sim._count_s1(seed, start, start + n, q)
 
 
 # ── play_once ──────────────────────────────────────────────────────
