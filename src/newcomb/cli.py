@@ -15,10 +15,10 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields, replace
 from itertools import chain
 
 from . import __version__
+from ._record import Record, set_field
 from ._validate import MAX_TRIALS, UINT64_MAX, check_int, check_number, check_type, show
 from .decision import (
     DEFAULT_RESOLUTION,
@@ -52,24 +52,26 @@ DEFAULT_TRIALS = 50_000
 _MAX_RENDER_RESOLUTION = 1 << 12
 
 
-@dataclass(frozen=True)
-class GameConfig:
+class GameConfig(Record):
     """A run configuration; every instance, replaced ones included, is valid."""
 
-    utilities: UtilityMatrix
-    predictor: PredictorProfile
-    trials: int = DEFAULT_TRIALS
-    seed: int = 0
-    resolution: int = DEFAULT_RESOLUTION
-    parallelism: int = 1
+    __slots__ = ("utilities", "predictor", "trials", "seed", "resolution", "parallelism")
 
-    def __post_init__(self) -> None:
-        check_type(self.utilities, "utilities", UtilityMatrix)
-        check_type(self.predictor, "predictor", PredictorProfile)
-        check_int(self.trials, "trials", 1, MAX_TRIALS)
-        check_int(self.seed, "seed", 0, UINT64_MAX)
-        check_int(self.resolution, "resolution", 2, MAX_RESOLUTION)
-        check_int(self.parallelism, "parallelism", 1)
+    def __init__(
+        self,
+        utilities: UtilityMatrix,
+        predictor: PredictorProfile,
+        trials: int = DEFAULT_TRIALS,
+        seed: int = 0,
+        resolution: int = DEFAULT_RESOLUTION,
+        parallelism: int = 1,
+    ):
+        set_field(self, "utilities", check_type(utilities, "utilities", UtilityMatrix))
+        set_field(self, "predictor", check_type(predictor, "predictor", PredictorProfile))
+        set_field(self, "trials", check_int(trials, "trials", 1, MAX_TRIALS))
+        set_field(self, "seed", check_int(seed, "seed", 0, UINT64_MAX))
+        set_field(self, "resolution", check_int(resolution, "resolution", 2, MAX_RESOLUTION))
+        set_field(self, "parallelism", check_int(parallelism, "parallelism", 1))
 
     def to_dict(self) -> dict:
         return {
@@ -101,7 +103,7 @@ def parse_config(text: str) -> GameConfig:
         raise ConfigError("invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
-    unknown = sorted(set(raw) - {f.name for f in fields(GameConfig)})
+    unknown = sorted(set(raw) - set(GameConfig._fields))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
     if "utilities" not in raw:
@@ -237,9 +239,8 @@ def _load_config(args: argparse.Namespace) -> GameConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {args.config} is not UTF-8: {exc}") from None
     # Each subcommand defines an override flag only for the fields it reads.
-    names = {f.name for f in fields(GameConfig)}
-    overrides = {k: v for k, v in vars(args).items() if k in names and v is not None}
-    return replace(parse_config(text), **overrides)
+    overrides = {k: v for k, v in vars(args).items() if k in GameConfig._fields and v is not None}
+    return parse_config(text).replace(**overrides)
 
 
 def _build_parser() -> argparse.ArgumentParser:

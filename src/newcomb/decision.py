@@ -28,10 +28,10 @@ Everything here is a pure function of its inputs; all values are
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 
 from . import _PUBLIC
+from ._record import Record, set_field
 from ._validate import as_tuple, check_int, check_number, check_pair, check_type, show
 from .errors import ValidationError
 
@@ -58,22 +58,20 @@ class SChoice(Enum):
     S2 = "S2"
 
 
-@dataclass(frozen=True)
-class UtilityMatrix:
+class UtilityMatrix(Record):
     """C's payoff table in euros; rows are S's choice, columns are C's.
 
     Entries must be finite and nonnegative (the classic table contains
     a literal zero).
     """
 
-    v11: float
-    v12: float
-    v21: float
-    v22: float
+    __slots__ = ("v11", "v12", "v21", "v22")
 
-    def __post_init__(self) -> None:
-        for name in ("v11", "v12", "v21", "v22"):
-            object.__setattr__(self, name, check_number(getattr(self, name), name, minimum=0))
+    def __init__(self, v11: float, v12: float, v21: float, v22: float):
+        set_field(self, "v11", check_number(v11, "v11", minimum=0))
+        set_field(self, "v12", check_number(v12, "v12", minimum=0))
+        set_field(self, "v21", check_number(v21, "v21", minimum=0))
+        set_field(self, "v22", check_number(v22, "v22", minimum=0))
 
     @classmethod
     def classic(cls) -> "UtilityMatrix":
@@ -96,20 +94,18 @@ class UtilityMatrix:
         return (self.v12, self.v22)
 
 
-@dataclass(frozen=True)
-class PredictorProfile:
+class PredictorProfile(Record):
     """Predictor accuracies: p1 = P(S=S1|C=C1), p2 = P(S=S2|C=C2).
 
     The complementary conditionals are implied: P(S=S2|C=C1) = 1 - p1
     and P(S=S1|C=C2) = 1 - p2.
     """
 
-    p1: float
-    p2: float
+    __slots__ = ("p1", "p2")
 
-    def __post_init__(self) -> None:
-        for name in ("p1", "p2"):
-            object.__setattr__(self, name, check_number(getattr(self, name), name, 0, 1))
+    def __init__(self, p1: float, p2: float):
+        set_field(self, "p1", check_number(p1, "p1", 0, 1))
+        set_field(self, "p2", check_number(p2, "p2", 0, 1))
 
     def s1_probability(self, c: CChoice) -> float:
         """P(S = S1 | C = c)."""
@@ -117,24 +113,21 @@ class PredictorProfile:
         return self.p1 if c is CChoice.C1 else 1.0 - self.p2
 
 
-@dataclass(frozen=True)
-class DecisionBoundary:
+class DecisionBoundary(Record):
     """Affine half-plane form of the choice rule: C1 iff a1*p1 + a2*p2 >= b.
 
     The coefficients must be finite.
     """
 
-    a1: float
-    a2: float
-    b: float
+    __slots__ = ("a1", "a2", "b")
 
-    def __post_init__(self) -> None:
-        for name in ("a1", "a2", "b"):
-            object.__setattr__(self, name, check_number(getattr(self, name), name))
+    def __init__(self, a1: float, a2: float, b: float):
+        set_field(self, "a1", check_number(a1, "a1"))
+        set_field(self, "a2", check_number(a2, "a2"))
+        set_field(self, "b", check_number(b, "b"))
 
 
-@dataclass(frozen=True)
-class RegionGrid:
+class RegionGrid(Record):
     """Optimal choice sampled on an inclusive uniform grid over [0,1]^2.
 
     Row i is p1 = i/(resolution-1) and column j is p2 = j/(resolution-1).
@@ -146,12 +139,11 @@ class RegionGrid:
     (lo, hi) tuples.
     """
 
-    resolution: int
-    c1_spans: tuple[tuple[int, int], ...]
+    __slots__ = ("resolution", "c1_spans")
 
-    def __post_init__(self) -> None:
-        r = check_int(self.resolution, "resolution", 2, MAX_RESOLUTION)
-        spans = as_tuple(self.c1_spans, "c1_spans")
+    def __init__(self, resolution: int, c1_spans: tuple[tuple[int, int], ...]):
+        r = check_int(resolution, "resolution", 2, MAX_RESOLUTION)
+        spans = as_tuple(c1_spans, "c1_spans")
         if len(spans) != r:
             raise ValidationError(f"grid must hold {r} C1 spans, got {len(spans)}")
         pairs = []
@@ -162,7 +154,8 @@ class RegionGrid:
             if lo != 0 and hi != r:
                 raise ValidationError(f"c1_spans[{i}] = {show(span)} must start at 0 or end at {r}")
             pairs.append((lo, hi))
-        object.__setattr__(self, "c1_spans", tuple(pairs))
+        set_field(self, "resolution", r)
+        set_field(self, "c1_spans", tuple(pairs))
 
     def axis_value(self, index: int) -> float:
         """Grid coordinate for an axis index (endpoints inclusive)."""

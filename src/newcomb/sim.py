@@ -33,10 +33,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from itertools import repeat
 
 from . import _PUBLIC
+from ._record import Record, set_field
 from ._validate import MAX_TRIALS, UINT64_MAX, check_int, check_number, check_type, show
 from .decision import CChoice, PredictorProfile, SChoice, UtilityMatrix, expected_utilities
 from .errors import ValidationError
@@ -74,21 +74,19 @@ class TrialStream:
         return (_mix64(self._base) >> 11) * 2.0**-53
 
 
-@dataclass(frozen=True)
-class RngSpec:
+class RngSpec(Record):
     """Root seed; trial i's stream is a pure function of (seed, i)."""
 
-    seed: int = 0
+    __slots__ = ("seed",)
 
-    def __post_init__(self) -> None:
-        check_int(self.seed, "seed", 0, UINT64_MAX)
+    def __init__(self, seed: int = 0):
+        set_field(self, "seed", check_int(seed, "seed", 0, UINT64_MAX))
 
     def stream(self, trial: int) -> TrialStream:
         return TrialStream(self.seed, trial)
 
 
-@dataclass(frozen=True)
-class TrialTrace:
+class TrialTrace(Record):
     """One play resolved in the oracle's visit order.
 
     Node 3 fixes C's choice, node 2 S's sampled response and node 7 the
@@ -96,14 +94,15 @@ class TrialTrace:
     replay C's choice, so they are read from it, not stored.
     """
 
-    c_choice: CChoice
-    s_choice: SChoice
-    utility: float
+    __slots__ = ("c_choice", "s_choice", "utility")
 
-    def __post_init__(self) -> None:
-        check_type(self.c_choice, "c_choice", CChoice)
-        check_type(self.s_choice, "s_choice", SChoice)
-        check_number(self.utility, "utility", minimum=0)
+    def __init__(self, c_choice: CChoice, s_choice: SChoice, utility: float):
+        check_type(c_choice, "c_choice", CChoice)
+        check_type(s_choice, "s_choice", SChoice)
+        check_number(utility, "utility", minimum=0)
+        set_field(self, "c_choice", c_choice)
+        set_field(self, "s_choice", s_choice)
+        set_field(self, "utility", utility)
 
     @property
     def prediction(self) -> CChoice:
@@ -114,40 +113,52 @@ class TrialTrace:
         return self.c_choice
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(Record):
     """Monte Carlo batch result for one fixed choice of C."""
 
-    c_choice: CChoice
-    trials: int
-    seed: int
-    empirical_mean: float
-    theoretical: float
-    standard_error: float
-    elapsed_seconds: float
+    __slots__ = (
+        "c_choice", "trials", "seed", "empirical_mean", "theoretical", "standard_error",
+        "elapsed_seconds",
+    )
 
-    def __post_init__(self) -> None:
-        check_type(self.c_choice, "c_choice", CChoice)
-        check_int(self.trials, "trials", 1)
-        check_int(self.seed, "seed", 0, UINT64_MAX)
-        check_number(self.empirical_mean, "empirical_mean")
-        check_number(self.theoretical, "theoretical")
-        check_number(self.standard_error, "standard_error", minimum=0)
-        check_number(self.elapsed_seconds, "elapsed_seconds", minimum=0)
+    def __init__(
+        self,
+        c_choice: CChoice,
+        trials: int,
+        seed: int,
+        empirical_mean: float,
+        theoretical: float,
+        standard_error: float,
+        elapsed_seconds: float,
+    ):
+        check_type(c_choice, "c_choice", CChoice)
+        check_int(trials, "trials", 1)
+        check_int(seed, "seed", 0, UINT64_MAX)
+        check_number(empirical_mean, "empirical_mean")
+        check_number(theoretical, "theoretical")
+        check_number(standard_error, "standard_error", minimum=0)
+        check_number(elapsed_seconds, "elapsed_seconds", minimum=0)
+        set_field(self, "c_choice", c_choice)
+        set_field(self, "trials", trials)
+        set_field(self, "seed", seed)
+        set_field(self, "empirical_mean", empirical_mean)
+        set_field(self, "theoretical", theoretical)
+        set_field(self, "standard_error", standard_error)
+        set_field(self, "elapsed_seconds", elapsed_seconds)
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
+class ComparisonTable(Record):
     """Theoretical vs empirical utilities for both of C's choices."""
 
-    c1: SimulationReport
-    c2: SimulationReport
+    __slots__ = ("c1", "c2")
 
-    def __post_init__(self) -> None:
-        for name, choice in (("c1", CChoice.C1), ("c2", CChoice.C2)):
-            got = check_type(getattr(self, name), name, SimulationReport).c_choice
+    def __init__(self, c1: SimulationReport, c2: SimulationReport):
+        for name, report, choice in (("c1", c1, CChoice.C1), ("c2", c2, CChoice.C2)):
+            got = check_type(report, name, SimulationReport).c_choice
             if got is not choice:
                 raise ValidationError(f"{name} must report {choice.value}, got {got.value}")
+        set_field(self, "c1", c1)
+        set_field(self, "c2", c2)
 
     @property
     def theoretical(self) -> tuple[float, float]:

@@ -33,11 +33,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 from . import _PUBLIC
+from ._record import Record, set_field
 from ._validate import as_tuple, check_int, check_pair, check_type, show
 from .errors import GraphStructureError, UnsupportedGraphError, ValidationError
 
@@ -71,33 +71,31 @@ _GAME_CHAIN_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class EventNode:
+class EventNode(Record):
     """One event; copy_of is set when the node is a retrocausal copy."""
 
-    id: int
-    kind: EventKind
-    copy_of: int | None = None
+    __slots__ = ("id", "kind", "copy_of")
 
-    def __post_init__(self) -> None:
-        check_int(self.id, "node id", 1)
-        check_type(self.kind, "node kind", EventKind)
-        if self.copy_of is not None:
-            check_int(self.copy_of, "copy_of", 1)
+    def __init__(self, id: int, kind: EventKind, copy_of: int | None = None):
+        check_int(id, "node id", 1)
+        check_type(kind, "node kind", EventKind)
+        if copy_of is not None:
+            check_int(copy_of, "copy_of", 1)
+        set_field(self, "id", id)
+        set_field(self, "kind", kind)
+        set_field(self, "copy_of", copy_of)
 
 
 # Only base_chain, unfold and entanglement_closure build through _node and
-# _graph, which skip __post_init__: each passes fields it checked or derived,
-# in the form __post_init__ would store. Fields are set as the dataclass
-# __init__ sets them; filling __dict__ instead would double a node's size.
-_set = object.__setattr__
-
-
+# _graph, which skip the checks of __init__: each passes fields it checked
+# or derived, in the form __init__ would store, and sets them as __init__
+# does. A checked rebuild of unfold's output would cost about three times
+# base_chain and unfold together.
 def _node(id: int, kind: EventKind, copy_of: int | None = None) -> EventNode:
     node = object.__new__(EventNode)
-    _set(node, "id", id)
-    _set(node, "kind", kind)
-    _set(node, "copy_of", copy_of)
+    set_field(node, "id", id)
+    set_field(node, "kind", kind)
+    set_field(node, "copy_of", copy_of)
     return node
 
 
@@ -145,20 +143,23 @@ class _DisjointSet:
         return tuple(frozenset(g) for g in groups.values() if len(g) > 1)
 
 
-@dataclass(frozen=True)
-class TLGraph:
+class TLGraph(Record):
     """Immutable event graph: nodes, directed causal edges, entanglement.
 
     The entanglement field holds disjoint classes of two or more node
     ids; a node in no class is entangled with nothing.
     """
 
-    nodes: tuple[EventNode, ...]
-    edges: frozenset[tuple[int, int]]
-    entanglement: tuple[frozenset[int], ...]
+    # __dict__ holds the cached_property values, which are not fields.
+    __slots__ = ("nodes", "edges", "entanglement", "__dict__")
 
-    def __post_init__(self) -> None:
-        nodes = as_tuple(self.nodes, "nodes")
+    def __init__(
+        self,
+        nodes: tuple[EventNode, ...],
+        edges: frozenset[tuple[int, int]],
+        entanglement: tuple[frozenset[int], ...],
+    ):
+        nodes = as_tuple(nodes, "nodes")
         by_id = {check_type(n, "node", EventNode).id: n for n in nodes}
         if len(by_id) != len(nodes):
             raise ValidationError("node ids must be unique")
@@ -169,14 +170,12 @@ class TLGraph:
                     raise ValidationError(
                         f"copy {show(node.id)} must copy an original of its kind, got copy_of={show(node.copy_of)}"
                     )
-        edges = frozenset(_id_pairs(self.edges, "edge", by_id))
+        edges = frozenset(_id_pairs(edges, "edge", by_id))
         for u, v in edges:
             if u == v:
                 raise ValidationError(f"self-loop on node {show(u)}")
-        object.__setattr__(self, "nodes", tuple(sorted(nodes, key=lambda n: n.id)))
-        object.__setattr__(self, "edges", edges)
 
-        classes = [as_tuple(c, "entanglement class") for c in as_tuple(self.entanglement, "entanglement")]
+        classes = [as_tuple(c, "entanglement class") for c in as_tuple(entanglement, "entanglement")]
         members = [i for cls in classes for i in cls]
         _known_ids(by_id, members, "entanglement member")
         classes = [frozenset(cls) for cls in classes]
@@ -192,7 +191,9 @@ class TLGraph:
                         f"entanglement class {show(set(cls))} mixes kinds"
                         f" {kind.value} and {by_id[i].kind.value}"
                     )
-        object.__setattr__(self, "entanglement", classes)
+        set_field(self, "nodes", tuple(sorted(nodes, key=lambda n: n.id)))
+        set_field(self, "edges", edges)
+        set_field(self, "entanglement", classes)
 
     @classmethod
     def build(
@@ -255,31 +256,30 @@ class TLGraph:
 
 def _graph(nodes, edges, entanglement) -> TLGraph:
     graph = object.__new__(TLGraph)
-    _set(graph, "nodes", nodes)
-    _set(graph, "edges", edges)
-    _set(graph, "entanglement", entanglement)
+    set_field(graph, "nodes", nodes)
+    set_field(graph, "edges", edges)
+    set_field(graph, "entanglement", entanglement)
     return graph
 
 
-@dataclass(frozen=True)
-class UnfoldSpec:
+class UnfoldSpec(Record):
     """Where the oracle acts on a chain of length n.
 
     The answer is delivered at event k and concerns event m, with
     1 <= k < m <= n.
     """
 
-    n: int
-    k: int
-    m: int
+    __slots__ = ("n", "k", "m")
 
-    def __post_init__(self) -> None:
-        for name in ("n", "k", "m"):
-            check_int(getattr(self, name), name, 1)
-        if not self.k < self.m <= self.n:
-            raise ValidationError(
-                f"need 1 <= k < m <= n, got n={show(self.n)}, k={show(self.k)}, m={show(self.m)}"
-            )
+    def __init__(self, n: int, k: int, m: int):
+        check_int(n, "n", 1)
+        check_int(k, "k", 1)
+        check_int(m, "m", 1)
+        if not k < m <= n:
+            raise ValidationError(f"need 1 <= k < m <= n, got n={show(n)}, k={show(k)}, m={show(m)}")
+        set_field(self, "n", n)
+        set_field(self, "k", k)
+        set_field(self, "m", m)
 
 
 GAME_UNFOLD = UnfoldSpec(n=4, k=2, m=3)

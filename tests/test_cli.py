@@ -1,7 +1,6 @@
 """Tests for the command-line front end and its file formats."""
 
 import argparse
-import dataclasses
 import io
 import json
 import os
@@ -137,7 +136,7 @@ def test_game_config_validates_itself(field, value):
     with pytest.raises(ValidationError, match=field):
         GameConfig(UtilityMatrix.classic(), PredictorProfile(0.5, 0.5), **{field: value})
     with pytest.raises(ValidationError, match=field):
-        dataclasses.replace(parse_config(CLASSIC_JSON), **{field: value})
+        parse_config(CLASSIC_JSON).replace(**{field: value})
 
 
 def test_config_round_trips_through_json():
@@ -392,28 +391,31 @@ def test_each_command_loads_only_its_layers(tmp_path):
     # pool of a one-worker batch, and numpy unless a batch has 0 < q < 1 and
     # more than sim._LANE_MAX trials. It must load the modules listed second.
     # Batches at q = 0 or 1 run on one worker, however many chunks they span.
+    # No case loads dataclasses, and only numpy loads inspect: the records
+    # are built without either.
     config = tmp_path / "game.json"
     config.write_text(CLASSIC_JSON)
     perfect = tmp_path / "perfect.json"
     perfect.write_text(CLASSIC_JSON.replace("[0.5, 0.5]", "[1, 1]"))
-    closed_form_only = ["newcomb.sim", "newcomb.tlg", "concurrent.futures", "numpy"]
-    simulate_only = ["newcomb.tlg", "concurrent.futures", "numpy"]
+    no_numpy = ["numpy", "dataclasses", "inspect"]
+    closed_form_only = ["newcomb.sim", "newcomb.tlg", "concurrent.futures", *no_numpy]
+    simulate_only = ["newcomb.tlg", "concurrent.futures", *no_numpy]
     past_lanes = str(newcomb.sim._LANE_MAX + 1)
     cases = [
-        (None, ["newcomb.decision", "newcomb.sim", "newcomb.tlg", "newcomb.cli", "numpy"], []),
+        (None, ["newcomb.decision", "newcomb.sim", "newcomb.tlg", "newcomb.cli", *no_numpy], []),
         (["expected", "--config", str(config)], closed_form_only, []),
         (["region", "--config", str(config), "--out", str(tmp_path / "region.csv")], closed_form_only, []),
-        (["graph", "--out", str(tmp_path / "tlg.dot")], ["newcomb.sim", "numpy"], []),
+        (["graph", "--out", str(tmp_path / "tlg.dot")], ["newcomb.sim", *no_numpy], []),
         (["simulate", "--config", str(config), "--parallelism", "1"], simulate_only, []),
         (["simulate", "--config", str(config), "--trials", "200000"], simulate_only, []),
         (
             ["simulate", "--config", str(config), "--trials", past_lanes],
-            ["newcomb.tlg", "concurrent.futures"],
+            ["newcomb.tlg", "concurrent.futures", "dataclasses"],
             ["numpy"],
         ),
         (
             ["simulate", "--config", str(perfect), "--trials", "200000", "--parallelism", "2"],
-            ["concurrent.futures", "numpy"],
+            ["concurrent.futures", *no_numpy],
             [],
         ),
     ]
@@ -671,7 +673,7 @@ def test_every_override_flag_replaces_the_configured_value(tmp_path):
         argv = ["simulate", "--config", str(config), "--seed", "42", "--trials", "20", "--parallelism", "2"]
         assert main(argv) == 0
     doc = json.loads(stdout.getvalue())
-    replaced = dataclasses.replace(parse_config(json.dumps(document)), seed=42, trials=20, parallelism=2)
+    replaced = parse_config(json.dumps(document)).replace(seed=42, trials=20, parallelism=2)
     want = cmd_simulate(replaced)
     assert doc["config"] == want["config"] == {**document, "seed": 42, "trials": 20, "parallelism": 2}
     assert doc["numerical"] == want["numerical"]

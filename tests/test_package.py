@@ -1,8 +1,10 @@
 """Tests for the package's public surface, whose exports load on first use."""
 
+import copy
 import inspect
 import math
 import os
+import pickle
 import re
 import tempfile
 from enum import Enum
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import newcomb
 from newcomb import cli
+from newcomb._record import Record
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -74,6 +77,106 @@ def test_version_matches_pyproject():
     # a regex, as Python 3.10 has no tomllib
     pyproject = (ROOT / "pyproject.toml").read_text()
     assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == newcomb.__version__
+
+
+_C1 = newcomb.SimulationReport(newcomb.CChoice.C1, 5, 0, 1.0, 1.0, 0.0, 0.0)
+_C2 = newcomb.SimulationReport(newcomb.CChoice.C2, 5, 0, 1.0, 1.0, 0.0, 0.0)
+_REPORT_REPR = (
+    "SimulationReport(c_choice=<CChoice.{0}: '{0}'>, trials=5, seed=0, empirical_mean=1.0,"
+    " theoretical=1.0, standard_error=0.0, elapsed_seconds=0.0)"
+)
+_TABLE_REPR = "UtilityMatrix(v11=10000.0, v12=0.0, v21=1010000.0, v22=1000000.0)"
+_GENERIC = "kind=<EventKind.GENERIC: 'generic'>, copy_of=None"
+# One instance of each record class; its repr as the frozen dataclasses printed
+# it; a change that gives another valid record; a change that is refused.
+_RECORDS = [
+    (newcomb.UtilityMatrix.classic(), _TABLE_REPR, {"v12": 1.0}, {"v11": -1.0}),
+    (newcomb.PredictorProfile(0.5, 0.25), "PredictorProfile(p1=0.5, p2=0.25)", {"p2": 1}, {"p1": 2.0}),
+    (
+        newcomb.decision_boundary(newcomb.UtilityMatrix.classic()),
+        "DecisionBoundary(a1=-1000000.0, a2=-1000000.0, b=-1010000.0)",
+        {"b": 0.0},
+        {"b": math.nan},
+    ),
+    (
+        newcomb.region_grid(newcomb.UtilityMatrix.classic(), 3),
+        "RegionGrid(resolution=3, c1_spans=((0, 3), (0, 2), (0, 1)))",
+        {"c1_spans": [(0, 3)] * 3},
+        {"resolution": 1},
+    ),
+    (
+        cli.GameConfig(newcomb.UtilityMatrix.classic(), newcomb.PredictorProfile(0.5, 0.25), trials=5),
+        f"GameConfig(utilities={_TABLE_REPR}, predictor=PredictorProfile(p1=0.5, p2=0.25),"
+        " trials=5, seed=0, resolution=101, parallelism=1)",
+        {"seed": 7},
+        {"trials": 0},
+    ),
+    (newcomb.RngSpec(7), "RngSpec(seed=7)", {"seed": 8}, {"seed": -1}),
+    (
+        newcomb.TrialTrace(newcomb.CChoice.C1, newcomb.SChoice.S2, 1.5),
+        "TrialTrace(c_choice=<CChoice.C1: 'C1'>, s_choice=<SChoice.S2: 'S2'>, utility=1.5)",
+        {"utility": 2.5},
+        {"utility": -1.0},
+    ),
+    (_C1, _REPORT_REPR.format("C1"), {"trials": 6}, {"trials": 0}),
+    (
+        newcomb.ComparisonTable(_C1, _C2),
+        f"ComparisonTable(c1={_REPORT_REPR.format('C1')}, c2={_REPORT_REPR.format('C2')})",
+        {"c2": _C2.replace(seed=1)},
+        {"c1": _C2},
+    ),
+    (
+        newcomb.EventNode(6, newcomb.EventKind.C_CHOICE, copy_of=3),
+        "EventNode(id=6, kind=<EventKind.C_CHOICE: 'c_choice'>, copy_of=3)",
+        {"copy_of": None},
+        {"id": 0},
+    ),
+    (
+        newcomb.base_chain(2),
+        f"TLGraph(nodes=(EventNode(id=1, {_GENERIC}), EventNode(id=2, {_GENERIC})),"
+        " edges=frozenset({(1, 2)}), entanglement=())",
+        {"edges": []},
+        {"edges": [(1, 1)]},
+    ),
+    (newcomb.GAME_UNFOLD, "UnfoldSpec(n=4, k=2, m=3)", {"m": 4}, {"k": 3}),
+]
+
+
+@pytest.mark.parametrize(
+    "record, text, change, bad_change", _RECORDS, ids=[type(r[0]).__name__ for r in _RECORDS]
+)
+def test_records_are_frozen_values(record, text, change, bad_change):
+    name = next(iter(change))
+    before = getattr(record, name)
+    with pytest.raises(AttributeError, match="cannot assign") as assigned:
+        setattr(record, name, before)
+    with pytest.raises(AttributeError, match="cannot delete") as deleted:
+        delattr(record, name)
+    with pytest.raises(AttributeError, match="cannot assign"):
+        record.not_a_field = 1
+    assert type(assigned.value) is type(deleted.value) is not AttributeError
+    assert getattr(record, name) is before
+
+    same = record.replace()
+    assert same is not record and same == record and hash(same) == hash(record)
+    assert record.replace(**change) != record
+    # a subclass with the same fields, or a record of another class, is never equal
+    subclass = type("Sub", (type(record),), {"__slots__": ()})
+    assert subclass._fields == type(record)._fields
+    assert subclass(*(getattr(record, f) for f in record._fields)) != record
+    assert all(record != other for other, *_ in _RECORDS if other is not record)
+
+    assert repr(record) == text
+    with pytest.raises(newcomb.ValidationError):
+        record.replace(**bad_change)
+    for duplicate in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert duplicate == record and hash(duplicate) == hash(record)
+
+
+def test_every_record_class_is_tested():
+    # the package's records, not the subclasses made above
+    records = {c for c in Record.__subclasses__() if c.__module__.startswith("newcomb.")}
+    assert records == {type(record) for record, *_ in _RECORDS}
 
 
 _HUGE = 10**5000  # past the interpreter's int-to-str digit limit, so it has no repr

@@ -1,7 +1,6 @@
 """Unit tests for the oracle-frame simulator."""
 
 import concurrent.futures
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -201,7 +200,7 @@ def test_trace_reads_prediction_and_copy_from_c_choice():
     for c in CChoice:
         trace = TrialTrace(c, SChoice.S1, 0.0)
         assert trace.prediction is trace.entangled_c_choice is trace.c_choice is c
-    assert [f.name for f in dataclasses.fields(TrialTrace)] == ["c_choice", "s_choice", "utility"]
+    assert TrialTrace._fields == ("c_choice", "s_choice", "utility")
 
 
 def test_play_once_rejects_bad_choice_or_stream():
@@ -213,7 +212,7 @@ def test_play_once_rejects_bad_choice_or_stream():
 
 
 C1_REPORT = SimulationReport(CChoice.C1, 5, 0, 1.0, 1.0, 0.0, 0.0)
-C2_REPORT = dataclasses.replace(C1_REPORT, c_choice=CChoice.C2)
+C2_REPORT = C1_REPORT.replace(c_choice=CChoice.C2)
 
 
 @pytest.mark.parametrize(
@@ -223,12 +222,12 @@ C2_REPORT = dataclasses.replace(C1_REPORT, c_choice=CChoice.C2)
         pytest.param(lambda: ComparisonTable(C1_REPORT, C1_REPORT), id="table-c2-reports-C1"),
         pytest.param(lambda: ComparisonTable(C2_REPORT, C2_REPORT), id="table-c1-reports-C2"),
         pytest.param(lambda: SimulationReport("C9", 5, -3, "a", None, 0.0, "b"), id="report-all"),
-        pytest.param(lambda: dataclasses.replace(C1_REPORT, trials=0), id="report-trials"),
-        pytest.param(lambda: dataclasses.replace(C1_REPORT, seed=1 << 64), id="report-seed"),
-        pytest.param(lambda: dataclasses.replace(C1_REPORT, empirical_mean=math.nan), id="report-mean"),
-        pytest.param(lambda: dataclasses.replace(C1_REPORT, theoretical=math.inf), id="report-theory"),
-        pytest.param(lambda: dataclasses.replace(C1_REPORT, standard_error=-1.0), id="report-se"),
-        pytest.param(lambda: dataclasses.replace(C1_REPORT, elapsed_seconds=-0.5), id="report-elapsed"),
+        pytest.param(lambda: C1_REPORT.replace(trials=0), id="report-trials"),
+        pytest.param(lambda: C1_REPORT.replace(seed=1 << 64), id="report-seed"),
+        pytest.param(lambda: C1_REPORT.replace(empirical_mean=math.nan), id="report-mean"),
+        pytest.param(lambda: C1_REPORT.replace(theoretical=math.inf), id="report-theory"),
+        pytest.param(lambda: C1_REPORT.replace(standard_error=-1.0), id="report-se"),
+        pytest.param(lambda: C1_REPORT.replace(elapsed_seconds=-0.5), id="report-elapsed"),
         pytest.param(lambda: TrialTrace(1, 1, "x"), id="trace-all"),
         pytest.param(lambda: TrialTrace(CChoice.C1, CChoice.C1, 1.0), id="trace-s-choice"),
         pytest.param(lambda: TrialTrace(CChoice.C1, SChoice.S1, -1.0), id="trace-utility"),

@@ -254,8 +254,8 @@ def test_unfold_builds_one_graph_without_the_closure(monkeypatch):
     monkeypatch.setattr(tlg_module, "entanglement_closure", forbidden)
     monkeypatch.setattr(tlg_module, "_DisjointSet", forbidden)
     # both build valid graphs by construction: no checked constructor runs
-    monkeypatch.setattr(TLGraph, "__post_init__", forbidden)
-    monkeypatch.setattr(EventNode, "__post_init__", forbidden)
+    monkeypatch.setattr(TLGraph, "__init__", forbidden)
+    monkeypatch.setattr(EventNode, "__init__", forbidden)
     built = []
     unchecked_graph = tlg_module._graph
 
@@ -282,7 +282,8 @@ def _assert_equals_checked_rebuild(graph):
         ours, theirs = getattr(graph, field), getattr(rebuilt, field)
         assert type(ours) is type(theirs) and ours == theirs
     for node in graph.nodes:
-        assert vars(node) == vars(EventNode(node.id, node.kind, node.copy_of))
+        # every field is set (an unset slot raises) to what __init__ stores
+        assert node._values() == EventNode(node.id, node.kind, node.copy_of)._values()
     assert graph == rebuilt and hash(graph) == hash(rebuilt)
 
 
