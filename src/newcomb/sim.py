@@ -14,17 +14,10 @@ plays S1 with probability P(S=S1|C=Cj), which is p1 when j=1 and
 and S plays S1 when u < P(S=S1|C=Cj).
 
 Randomness is counter-based: trial i of seed s draws from a SplitMix64
-stream indexed by (s, i), so results do not depend on execution order
-or worker count. A batch is split into contiguous spans of trial
-indices, at most one per worker, with the workers capped by the cores
-and by the number of kernel chunks. One worker runs the batch at
-P(S=S1|C=Cj) = 0 or 1, where no draw is needed, and at up to
-_LANE_MAX trials in a process that has not loaded numpy, where a
-kernel on Python ints counts the draws without paying for numpy's
-import. S1 outcomes are counted exactly, and the batch mean is the
-exact mean of their utilities, rounded once, so neither the split nor
-the kernel ever changes a result: batch means are bit-identical at any
-parallelism degree.
+stream indexed by (s, i), so no kernel, worker or execution order
+changes a draw. S1 outcomes are counted exactly, and the batch mean is
+the exact mean of their utilities, rounded once, so batch means are
+bit-identical at any parallelism degree.
 """
 
 from __future__ import annotations
@@ -97,12 +90,9 @@ class TrialTrace(Record):
     __slots__ = ("c_choice", "s_choice", "utility")
 
     def __init__(self, c_choice: CChoice, s_choice: SChoice, utility: float):
-        check_type(c_choice, "c_choice", CChoice)
-        check_type(s_choice, "s_choice", SChoice)
-        check_number(utility, "utility", minimum=0)
-        set_field(self, "c_choice", c_choice)
-        set_field(self, "s_choice", s_choice)
-        set_field(self, "utility", utility)
+        set_field(self, "c_choice", check_type(c_choice, "c_choice", CChoice))
+        set_field(self, "s_choice", check_type(s_choice, "s_choice", SChoice))
+        set_field(self, "utility", check_number(utility, "utility", minimum=0))
 
     @property
     def prediction(self) -> CChoice:
@@ -131,20 +121,13 @@ class SimulationReport(Record):
         standard_error: float,
         elapsed_seconds: float,
     ):
-        check_type(c_choice, "c_choice", CChoice)
-        check_int(trials, "trials", 1)
-        check_int(seed, "seed", 0, UINT64_MAX)
-        check_number(empirical_mean, "empirical_mean")
-        check_number(theoretical, "theoretical")
-        check_number(standard_error, "standard_error", minimum=0)
-        check_number(elapsed_seconds, "elapsed_seconds", minimum=0)
-        set_field(self, "c_choice", c_choice)
-        set_field(self, "trials", trials)
-        set_field(self, "seed", seed)
-        set_field(self, "empirical_mean", empirical_mean)
-        set_field(self, "theoretical", theoretical)
-        set_field(self, "standard_error", standard_error)
-        set_field(self, "elapsed_seconds", elapsed_seconds)
+        set_field(self, "c_choice", check_type(c_choice, "c_choice", CChoice))
+        set_field(self, "trials", check_int(trials, "trials", 1))
+        set_field(self, "seed", check_int(seed, "seed", 0, UINT64_MAX))
+        set_field(self, "empirical_mean", check_number(empirical_mean, "empirical_mean"))
+        set_field(self, "theoretical", check_number(theoretical, "theoretical"))
+        set_field(self, "standard_error", check_number(standard_error, "standard_error", minimum=0))
+        set_field(self, "elapsed_seconds", check_number(elapsed_seconds, "elapsed_seconds", minimum=0))
 
 
 class ComparisonTable(Record):
@@ -190,51 +173,13 @@ def play_once(
     return TrialTrace(c_choice, s_choice, v.payoff(s_choice, c_choice))
 
 
-# Trials per kernel pass; it bounds the kernel's buffers (~1.6 MB).
+# Trials per numpy-kernel pass; it bounds the kernel's arrays (~1.5 MB).
 _CHUNK = 1 << 16
-
-
-def _count_s1(seed: int, start: int, stop: int, q: float) -> int:
-    # Counts the trials' draws in [start, stop) below q; matches TrialStream
-    # exactly. A draw is u = (x >> 11) * 2^-53, and for an integer x,
-    # u < q holds iff x < ceil(q * 2^53) << 11. At q >= 1 that threshold
-    # would not fit in 64 bits, but then every draw is below q; at q <= 0
-    # it is 0, and no draw is below it.
-    if q >= 1.0:
-        return stop - start
-    if q <= 0.0:
-        return 0
-    # numpy is imported here, not at module level, so that importing the
-    # package, every command but simulate, and a batch that monte_carlo
-    # gives to _count_s1_lanes do not pay for loading it.
-    import numpy as np
-
-    threshold = np.uint64(math.ceil(q * 2.0**53) << 11)
-    size = min(_CHUNK, stop - start)
-    steps = np.arange(size, dtype=np.uint64) * np.uint64(_TRIAL_INCREMENT)
-    x = np.empty(size, dtype=np.uint64)
-    tmp = np.empty(size, dtype=np.uint64)
-    below = np.empty(size, dtype=bool)
-    count = 0
-    for lo in range(start, stop, _CHUNK):
-        m = min(_CHUNK, stop - lo)
-        xs, ts = x[:m], tmp[:m]
-        np.add(steps[:m], np.uint64(_trial_start(seed, lo)), out=xs)
-        for shift, multiplier in _ROUNDS:
-            np.right_shift(xs, np.uint64(shift), out=ts)
-            xs ^= ts
-            xs *= np.uint64(multiplier)
-        np.right_shift(xs, np.uint64(_LAST_SHIFT), out=ts)
-        xs ^= ts
-        count += int(np.count_nonzero(np.less(xs, threshold, out=below[:m])))
-    return count
-
-
 # Trials per lane-kernel pass. Interleaved on one host, passes of 2^9 to
 # 2^13 lanes all took 66-67 ns per trial on 2^20 trials, and 2^10 lanes
 # also keep the per-call set-up, one Python step per lane, near 0.25 ms.
 _LANES = 1 << 10
-# The largest batch that monte_carlo counts with _count_s1_lanes while numpy
+# The largest batch that _count_s1 counts with _count_s1_lanes while numpy
 # is not loaded. Past the crossover, numpy's import costs less than the
 # lanes' extra time per trial. On a 2 vCPU Xeon (Python 3.11.7, numpy
 # 2.4.6), seven interleaved runs in fresh interpreters read `import numpy`
@@ -244,16 +189,65 @@ _LANES = 1 << 10
 _LANE_MAX = 1 << 20
 
 
-def _count_s1_lanes(seed: int, start: int, stop: int, q: float) -> int:
-    # The count of _count_s1, on Python ints alone. A pass packs up to
-    # _LANES trials into one int, trial lo + i in the 128-bit lane at bit
-    # 128 * i, and every shift, xor and mask acts on all lanes at once. Each
-    # multiply takes lanes masked to 64 bits, and a 64-bit lane times a
-    # 64-bit multiplier fits in 128 bits, so no lane carries into the next.
-    if q >= 1.0:
-        return stop - start
+def _count_s1(seed: int, start: int, n: int, q: float, parallelism: int) -> int:
+    # The number of trials in [start, start + n) whose TrialStream draw is
+    # below q, the one rule every batch is counted by:
+    # 1. At q <= 0 no draw is below q, and at q >= 1 every draw is.
+    # 2. A draw is u = (x >> 11) * 2^-53, and for an integer x, u < q holds
+    #    iff x < ceil(q * 2^53) << 11. For 0 < q < 1 that threshold lies in
+    #    [2^11, 2^64 - 2^11], the range both kernels require.
+    # 3. A batch of at most _LANE_MAX trials counts on Python ints when
+    #    nothing has loaded numpy yet, so it skips numpy's import. Its
+    #    big-int passes hold the GIL, so it runs on one worker.
+    # 4. Any other batch counts with numpy, split into contiguous spans, at
+    #    most one per worker, with the workers capped by parallelism, the
+    #    cores and the kernel's chunks. A thread pool starts only for two or
+    #    more workers. Counts are exact, so no split changes the total.
     if q <= 0.0:
         return 0
+    if q >= 1.0:
+        return n
+    threshold = math.ceil(q * 2.0**53) << 11
+    if n <= _LANE_MAX and "numpy" not in sys.modules:
+        return _count_s1_lanes(seed, start, start + n, threshold)
+    workers = min(parallelism, os.cpu_count() or 1, -(-n // _CHUNK))
+    if workers == 1:
+        return _count_s1_numpy(seed, start, start + n, threshold)
+    from concurrent.futures import ThreadPoolExecutor
+
+    edges = [start + n * w // workers for w in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(_count_s1_numpy, repeat(seed), edges[:-1], edges[1:], repeat(threshold)))
+
+
+def _count_s1_numpy(seed: int, start: int, stop: int, threshold: int) -> int:
+    # The trials in [start, stop) whose draw x is below threshold, which
+    # must lie in [2^11, 2^64 - 2^11] (see _count_s1), in passes of _CHUNK.
+    # numpy is imported here, not at module level, so that importing the
+    # package, every command but simulate, and a batch that _count_s1
+    # gives to _count_s1_lanes do not pay for loading it.
+    import numpy as np
+
+    steps = np.arange(min(_CHUNK, stop - start), dtype=np.uint64) * np.uint64(_TRIAL_INCREMENT)
+    count = 0
+    for lo in range(start, stop, _CHUNK):
+        x = steps[: stop - lo] + np.uint64(_trial_start(seed, lo))
+        for shift, multiplier in _ROUNDS:
+            x ^= x >> np.uint64(shift)
+            x *= np.uint64(multiplier)
+        x ^= x >> np.uint64(_LAST_SHIFT)
+        count += int(np.count_nonzero(x < np.uint64(threshold)))
+    return count
+
+
+def _count_s1_lanes(seed: int, start: int, stop: int, threshold: int) -> int:
+    # The count of _count_s1_numpy, on Python ints alone, under the same
+    # precondition on threshold: at 0, the padding lanes of a short last pass
+    # would carry. A pass packs up to _LANES trials into one int, trial lo + i
+    # in the 128-bit lane at bit 128 * i, and every shift, xor and mask acts
+    # on all lanes at once. Each multiply takes lanes masked to 64 bits, and a
+    # 64-bit lane times a 64-bit multiplier fits in 128 bits, so no lane
+    # carries into the next.
     lanes = min(_LANES, stop - start)
     # Built by int.from_bytes in O(lanes); a sum of shifted ints is quadratic.
     ones = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
@@ -265,7 +259,7 @@ def _count_s1_lanes(seed: int, start: int, stop: int, q: float) -> int:
     # A draw x is not below the threshold iff x + 2^64 - threshold carries
     # into its lane's bit 64. The last xor-shift leaves bits of the next lane
     # at bits 97-127 of each lane, which that carry never reaches.
-    offset = ((1 << 64) - (math.ceil(q * 2.0**53) << 11)) * ones
+    offset = ((1 << 64) - threshold) * ones
     carry = ones << 64
     not_below = 0
     for lo in range(start, stop, _LANES):
@@ -307,14 +301,10 @@ def monte_carlo(
 ) -> SimulationReport:
     """Average the payout of n independent plays with C's choice fixed.
 
-    Trial i uses the stream for index first_trial + i. The trials are
-    split into contiguous spans, at most one per worker, with the
-    workers capped by parallelism, the cores and the kernel's chunks,
-    and one worker at P(S=S1|C=Cj) = 0 or 1, which needs no draws. A
-    batch of at most _LANE_MAX trials in a process that has not loaded
-    numpy runs on one worker, without numpy. The mean is the exact mean
-    of the n counted utilities, rounded once, so it is bit-identical for
-    any parallelism degree.
+    Trial i uses the stream for index first_trial + i, and parallelism
+    caps the workers that count the draws. The mean is the exact mean
+    of the n counted utilities, rounded once, so it is a pure function
+    of (seed, first_trial, n), bit-identical for any parallelism degree.
     """
     check_type(v, "v", UtilityMatrix)
     check_type(p, "p", PredictorProfile)
@@ -329,22 +319,7 @@ def monte_carlo(
     check_type(rng, "rng", RngSpec)
 
     started = time.perf_counter()
-    s1_prob = p.s1_probability(c_choice)
-    workers = min(parallelism, os.cpu_count() or 1, -(-n // _CHUNK))
-    # A small batch skips numpy's import when nothing has loaded it yet. Its
-    # big-int passes hold the GIL, so it runs on one worker.
-    lanes = n <= _LANE_MAX and "numpy" not in sys.modules
-    if lanes or workers == 1 or not 0.0 < s1_prob < 1.0:  # at q = 0 or 1 there is nothing to draw
-        count = _count_s1_lanes if lanes else _count_s1
-        n_s1 = count(rng.seed, first_trial, first_trial + n, s1_prob)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        edges = [first_trial + n * w // workers for w in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            spans = pool.map(_count_s1, repeat(rng.seed), edges[:-1], edges[1:], repeat(s1_prob))
-            n_s1 = sum(spans)
-
+    n_s1 = _count_s1(rng.seed, first_trial, n, p.s1_probability(c_choice), parallelism)
     # int / int rounds once; the mean lies between v1 and v2, so it is finite
     (a1, b1), (a2, b2) = (u.as_integer_ratio() for u in v.column(c_choice))
     empirical_mean = (n_s1 * a1 * b2 + (n - n_s1) * a2 * b1) / (n * b1 * b2)

@@ -118,7 +118,7 @@ def test_criterion_06_tlg_structure():
     graph = unfold(base_chain(4), GAME_UNFOLD)
     assert {n.id for n in graph.nodes} == {1, 2, 3, 4, 5, 6, 7}
     assert set(graph.edges) == {(1, 2), (2, 3), (3, 4), (3, 5), (5, 2), (2, 6), (6, 7)}
-    assert {frozenset(c) for c in graph.nontrivial_classes} == {
+    assert {frozenset(c) for c in graph.entanglement} == {
         frozenset({3, 6}),
         frozenset({4, 7}),
     }

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -104,10 +105,20 @@ def _thresholds():
     return st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), cut, beside, st.floats(0.0, 1.0))
 
 
-# The two S1 counters, each with the trials it handles in one pass.
+def _threshold(q):
+    """The draw threshold of 0 < q < 1: u = (x >> 11) * 2^-53 is below q iff x is below it."""
+    return math.ceil(q * 2.0**53) << 11
+
+
+# The two S1 kernels, each with the trials it handles in one pass, and the
+# thresholds of the q they are given: 0 < q < 1, which the dispatcher
+# _count_s1 decides without a draw at q = 0 and 1.
 KERNELS = pytest.mark.parametrize(
-    "count, chunk", [(sim._count_s1, sim._CHUNK), (sim._count_s1_lanes, sim._LANES)], ids=["numpy", "lanes"]
+    "count, chunk",
+    [(sim._count_s1_numpy, sim._CHUNK), (sim._count_s1_lanes, sim._LANES)],
+    ids=["numpy", "lanes"],
 )
+_DRAWN_QS = _thresholds().filter(lambda q: 0.0 < q < 1.0)
 
 
 @KERNELS
@@ -117,13 +128,28 @@ KERNELS = pytest.mark.parametrize(
     n=st.integers(0, 1 << 10),
     at_top=st.booleans(),
     start=st.integers(0, (1 << 64) - (1 << 10)),
-    q=_thresholds(),
+    q=_DRAWN_QS,
 )
 def test_kernel_counts_the_draws_of_trial_streams(count, chunk, seed, n, at_top, start, q):
     # at_top puts the span against 2^64, where the Weyl offset wraps
     start = (1 << 64) - n - start % 4 if at_top else start
     expected = sum(TrialStream(seed, i).uniform() < q for i in range(start, start + n))
-    assert count(seed, start, start + n, q) == expected
+    assert count(seed, start, start + n, _threshold(q)) == expected
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, (1 << 64) - 1),
+    n=st.integers(1, 1 << 10),
+    at_top=st.booleans(),
+    start=st.integers(0, (1 << 64) - (1 << 10)),
+    q=_thresholds(),
+)
+def test_count_s1_counts_the_draws_of_trial_streams(seed, n, at_top, start, q):
+    # every q, 0, 1 and 5e-324 included, through the dispatcher
+    start = (1 << 64) - n - start % 4 if at_top else start
+    expected = sum(TrialStream(seed, i).uniform() < q for i in range(start, start + n))
+    assert sim._count_s1(seed, start, n, q, 1) == expected
 
 
 @KERNELS
@@ -136,7 +162,7 @@ def test_kernel_counts_the_draws_of_trial_streams_across_chunks(count, chunk, at
     draws = [TrialStream(seed, i).uniform() for i in range(start, start + n)]
     # 0.3 lies between two cut points k * 2^-53; the second q is one
     for q in (0.3, 3602879701896397 * 2.0**-53):
-        assert count(seed, start, start + n, q) == sum(u < q for u in draws)
+        assert count(seed, start, start + n, _threshold(q)) == sum(u < q for u in draws)
 
 
 @settings(deadline=None)
@@ -145,13 +171,32 @@ def test_kernel_counts_the_draws_of_trial_streams_across_chunks(count, chunk, at
     n=st.integers(0, 4 * sim._LANES),
     at_top=st.booleans(),
     start=st.integers(0, (1 << 64) - 4 * sim._LANES),
-    q=_thresholds(),
+    q=_DRAWN_QS,
 )
 def test_lane_and_numpy_kernels_agree_across_lane_passes(seed, n, at_top, start, q):
     # Spans of up to four lane passes, whose last pass is usually a short one;
     # at_top puts the span against 2^64, where the Weyl offset wraps
     start = (1 << 64) - n - start % 4 if at_top else start
-    assert sim._count_s1_lanes(seed, start, start + n, q) == sim._count_s1(seed, start, start + n, q)
+    t = _threshold(q)
+    assert sim._count_s1_lanes(seed, start, start + n, t) == sim._count_s1_numpy(seed, start, start + n, t)
+
+
+def test_numpy_kernel_memory_is_bounded_by_one_chunk():
+    # The kernel's arrays hold one _CHUNK-trial pass, so its peak does not grow
+    # with the batch: 16 chunks peak within a few Python objects (not one
+    # 512 KiB array of the pass) of 1 chunk.
+    def peak(n):
+        tracemalloc.start()
+        try:
+            sim._count_s1_numpy(5, 0, n, 1 << 63)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sim._count_s1_numpy(5, 0, 1, 1 << 63)  # numpy's import and first-call caches
+    one, sixteen = peak(sim._CHUNK), peak(16 * sim._CHUNK)
+    assert abs(sixteen - one) < 4096
+    assert sixteen < 2 << 20
 
 
 # ── play_once ──────────────────────────────────────────────────────
@@ -236,6 +281,17 @@ C2_REPORT = C1_REPORT.replace(c_choice=CChoice.C2)
 def test_sim_records_reject_fields_of_the_wrong_kind(build):
     with pytest.raises(ValidationError):
         build()
+
+
+def test_sim_records_store_their_numbers_as_floats():
+    # as UtilityMatrix does: an int payoff or mean is stored as the float it checks
+    utility = TrialTrace(CChoice.C1, SChoice.S1, 5).utility
+    assert type(utility) is float and utility == 5.0
+    report = SimulationReport(CChoice.C1, 5, 0, 1, 1, 0, 0)
+    numbers = (report.empirical_mean, report.theoretical, report.standard_error, report.elapsed_seconds)
+    assert [type(x) for x in numbers] == [float] * 4
+    assert "empirical_mean=1.0," in repr(report)
+    assert (report.trials, report.seed) == (5, 0)
 
 
 # ── monte_carlo ────────────────────────────────────────────────────
@@ -330,7 +386,7 @@ def test_monte_carlo_mean_is_the_exact_mean_rounded_once(table, one_payoff, p, c
     v = UtilityMatrix(*table)
     report = monte_carlo(v, p, c, n, RngSpec(seed))
     v1, v2 = v.column(c)
-    k = sim._count_s1(seed, 0, n, p.s1_probability(c))
+    k = sim._count_s1(seed, 0, n, p.s1_probability(c), 1)
     assert report.empirical_mean == float((k * Fraction(v1) + (n - k) * Fraction(v2)) / n)
     if v1 == v2:
         assert report.empirical_mean == v1 == report.theoretical
