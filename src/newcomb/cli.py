@@ -1,9 +1,8 @@
 """Command-line front end: expected, region, graph, simulate.
 
 Reads a JSON game configuration, dispatches to the library, and emits
-JSON reports on stdout, CSV decision grids, and DOT graph files. All
-output is deterministic for a fixed configuration except the wall
-clock field in simulation reports.
+JSON reports on stdout, CSV decision grids, and DOT graph files. Every
+output byte is a pure function of the configuration and the flags.
 
 Exit codes: 0 success, 2 validation/usage error, 3 I/O error.
 """
@@ -213,7 +212,6 @@ def cmd_simulate(config: GameConfig) -> dict:
         "standard_error": {"C1": table.c1.standard_error, "C2": table.c2.standard_error},
         "seed": config.seed,
         "trials": config.trials,
-        "elapsed_seconds": table.c1.elapsed_seconds + table.c2.elapsed_seconds,
         "version": __version__,
     }
 

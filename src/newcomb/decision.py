@@ -169,6 +169,14 @@ class RegionGrid(Record):
         return CChoice.C1 if lo <= j < hi else CChoice.C2
 
 
+def _utility(missed: float, predicted: float, accuracy: float) -> float:
+    # A choice's expected payoff: it pays `predicted` when S follows the
+    # prediction, with probability `accuracy`, and `missed` otherwise.
+    # expected_utilities and region_grid both evaluate it here, so they
+    # round alike.
+    return missed + accuracy * (predicted - missed)
+
+
 def expected_utilities(v: UtilityMatrix, p: PredictorProfile) -> tuple[float, float]:
     """Return (U1, U2), C's expected payoff for each choice.
 
@@ -183,9 +191,7 @@ def expected_utilities(v: UtilityMatrix, p: PredictorProfile) -> tuple[float, fl
     """
     check_type(v, "v", UtilityMatrix)
     check_type(p, "p", PredictorProfile)
-    u1 = v.v21 + p.p1 * (v.v11 - v.v21)
-    u2 = v.v12 + p.p2 * (v.v22 - v.v12)
-    return (u1, u2)
+    return (_utility(v.v21, v.v11, p.p1), _utility(v.v12, v.v22, p.p2))
 
 
 def choose(v: UtilityMatrix, p: PredictorProfile) -> CChoice:
@@ -205,8 +211,8 @@ def region_grid(v: UtilityMatrix, resolution: int = DEFAULT_RESOLUTION) -> Regio
 
     The first index runs over p1, the second over p2, both ascending
     from 0 to 1 in steps of 1/(resolution-1). U1 depends only on p1 and
-    U2 only on p2; both vectors use the same float operations as
-    expected_utilities(). U2 = v12 + p2*(v22 - v12) is affine in p2, and
+    U2 only on p2, and both vectors are evaluated as expected_utilities()
+    evaluates them. U2 = v12 + p2*(v22 - v12) is affine in p2, and
     rounded multiplication and addition by a constant are monotone, so
     the u2 vector is monotone too: ascending when v22 >= v12, descending
     otherwise. A row's C1 cells, where u1 >= u2, are then a prefix or a
@@ -217,8 +223,8 @@ def region_grid(v: UtilityMatrix, resolution: int = DEFAULT_RESOLUTION) -> Regio
     check_int(resolution, "resolution", 2, MAX_RESOLUTION)
     step = resolution - 1
     axis = [i / step for i in range(resolution)]
-    u1 = [v.v21 + x * (v.v11 - v.v21) for x in axis]
-    u2 = [v.v12 + x * (v.v22 - v.v12) for x in axis]
+    u1 = [_utility(v.v21, v.v11, x) for x in axis]
+    u2 = [_utility(v.v12, v.v22, x) for x in axis]
     if v.v22 >= v.v12:
         # u2 ascends: C1 where u2[j] <= u1, a prefix
         spans = tuple((0, bisect_right(u2, a)) for a in u1)

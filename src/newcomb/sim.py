@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import time
 from itertools import repeat
 
 from . import _PUBLIC
@@ -106,10 +105,7 @@ class TrialTrace(Record):
 class SimulationReport(Record):
     """Monte Carlo batch result for one fixed choice of C."""
 
-    __slots__ = (
-        "c_choice", "trials", "seed", "empirical_mean", "theoretical", "standard_error",
-        "elapsed_seconds",
-    )
+    __slots__ = ("c_choice", "trials", "seed", "empirical_mean", "theoretical", "standard_error")
 
     def __init__(
         self,
@@ -119,7 +115,6 @@ class SimulationReport(Record):
         empirical_mean: float,
         theoretical: float,
         standard_error: float,
-        elapsed_seconds: float,
     ):
         set_field(self, "c_choice", check_type(c_choice, "c_choice", CChoice))
         set_field(self, "trials", check_int(trials, "trials", 1))
@@ -127,7 +122,6 @@ class SimulationReport(Record):
         set_field(self, "empirical_mean", check_number(empirical_mean, "empirical_mean"))
         set_field(self, "theoretical", check_number(theoretical, "theoretical"))
         set_field(self, "standard_error", check_number(standard_error, "standard_error", minimum=0))
-        set_field(self, "elapsed_seconds", check_number(elapsed_seconds, "elapsed_seconds", minimum=0))
 
 
 class ComparisonTable(Record):
@@ -303,8 +297,9 @@ def monte_carlo(
 
     Trial i uses the stream for index first_trial + i, and parallelism
     caps the workers that count the draws. The mean is the exact mean
-    of the n counted utilities, rounded once, so it is a pure function
-    of (seed, first_trial, n), bit-identical for any parallelism degree.
+    of the n counted utilities, rounded once, so the whole report is a
+    pure function of (v, p, c_choice, n, seed, first_trial), equal as a
+    record for any parallelism degree.
     """
     check_type(v, "v", UtilityMatrix)
     check_type(p, "p", PredictorProfile)
@@ -318,7 +313,6 @@ def monte_carlo(
     check_type(c_choice, "c_choice", CChoice)
     check_type(rng, "rng", RngSpec)
 
-    started = time.perf_counter()
     n_s1 = _count_s1(rng.seed, first_trial, n, p.s1_probability(c_choice), parallelism)
     # int / int rounds once; the mean lies between v1 and v2, so it is finite
     (a1, b1), (a2, b2) = (u.as_integer_ratio() for u in v.column(c_choice))
@@ -331,7 +325,6 @@ def monte_carlo(
         empirical_mean=empirical_mean,
         theoretical=u1 if c_choice is CChoice.C1 else u2,
         standard_error=standard_error(v, p, c_choice, n),
-        elapsed_seconds=time.perf_counter() - started,
     )
 
 

@@ -172,7 +172,7 @@ def test_criterion_09_property_suite():
     for n in (4_097, 50_000, 3 * sim._CHUNK + 1):
         solo = monte_carlo(CLASSIC, PredictorProfile(0.5, 0.5), CChoice.C1, n, RngSpec(7), parallelism=1)
         eight = monte_carlo(CLASSIC, PredictorProfile(0.5, 0.5), CChoice.C1, n, RngSpec(7), parallelism=8)
-        assert solo.empirical_mean == eight.empirical_mean
+        assert solo == eight
 
     # small-N equivalence with a straight-line conditional sampler
     p = PredictorProfile(0.5, 0.5)

@@ -182,14 +182,11 @@ def test_simulate_document_shape_and_determinism():
         "standard_error",
         "seed",
         "trials",
-        "elapsed_seconds",
         "version",
     }
     assert doc["theoretical"] == {"C1": 510_000.0, "C2": 500_000.0}
     assert doc["seed"] == 0 and doc["trials"] == 50_000
-    again = cmd_simulate(config)
-    for key in ("config", "theoretical", "numerical", "standard_error"):
-        assert doc[key] == again[key]
+    assert cmd_simulate(config) == doc
     assert json.loads(json.dumps(doc)) == doc
 
 
@@ -360,17 +357,25 @@ def test_cli_expected_runs(tmp_path):
     assert doc["u1"] == 510_000.0
 
 
-def test_cli_simulate_deterministic_except_wall_clock(tmp_path):
+def test_cli_simulate_is_deterministic(tmp_path):
     config = tmp_path / "game.json"
     config.write_text(CLASSIC_JSON)
     args = ("simulate", "--config", str(config), "--trials", "2000", "--seed", "42")
     first = run_cli(*args)
     second = run_cli(*args)
     assert first.returncode == 0 and second.returncode == 0
-    a, b = json.loads(first.stdout), json.loads(second.stdout)
-    a.pop("elapsed_seconds")
-    b.pop("elapsed_seconds")
-    assert a == b
+    assert first.stdout == second.stdout
+
+
+def test_cli_simulate_prints_the_pinned_classic_means(tmp_path):
+    # Pins the draw rule end to end: a change to the SplitMix64 constants,
+    # the trial indexing or the S1 threshold moves these means.
+    config = tmp_path / "game.json"
+    config.write_text(CLASSIC_JSON)
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        assert main(["simulate", "--config", str(config), "--seed", "0", "--trials", "50000"]) == 0
+    assert json.loads(stdout.getvalue())["numerical"] == {"C1": 509_220.0, "C2": 499_080.0}
 
 
 def test_cli_simulate_prints_strict_json_near_the_float_limit(tmp_path):
@@ -675,8 +680,8 @@ def test_every_override_flag_replaces_the_configured_value(tmp_path):
     doc = json.loads(stdout.getvalue())
     replaced = parse_config(json.dumps(document)).replace(seed=42, trials=20, parallelism=2)
     want = cmd_simulate(replaced)
-    assert doc["config"] == want["config"] == {**document, "seed": 42, "trials": 20, "parallelism": 2}
-    assert doc["numerical"] == want["numerical"]
+    assert doc["config"] == {**document, "seed": 42, "trials": 20, "parallelism": 2}
+    assert doc == want
 
 
 def test_cli_graph_validates_an_optional_config_it_does_not_use(tmp_path):
@@ -856,7 +861,6 @@ def test_default_config_prints_the_same_bytes_on_any_host(tmp_path, monkeypatch)
             stdout = io.StringIO()
             with redirect_stdout(stdout):
                 assert main([*argv, "--config", str(config)]) == 0
-            lines = stdout.getvalue().splitlines(keepends=True)
-            texts.append("".join(line for line in lines if '"elapsed_seconds"' not in line))
+            texts.append(stdout.getvalue())
         assert texts[0] == texts[1]
         assert '"parallelism": 1\n' in texts[0]

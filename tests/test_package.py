@@ -79,11 +79,11 @@ def test_version_matches_pyproject():
     assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == newcomb.__version__
 
 
-_C1 = newcomb.SimulationReport(newcomb.CChoice.C1, 5, 0, 1.0, 1.0, 0.0, 0.0)
-_C2 = newcomb.SimulationReport(newcomb.CChoice.C2, 5, 0, 1.0, 1.0, 0.0, 0.0)
+_C1 = newcomb.SimulationReport(newcomb.CChoice.C1, 5, 0, 1.0, 1.0, 0.0)
+_C2 = newcomb.SimulationReport(newcomb.CChoice.C2, 5, 0, 1.0, 1.0, 0.0)
 _REPORT_REPR = (
     "SimulationReport(c_choice=<CChoice.{0}: '{0}'>, trials=5, seed=0, empirical_mean=1.0,"
-    " theoretical=1.0, standard_error=0.0, elapsed_seconds=0.0)"
+    " theoretical=1.0, standard_error=0.0)"
 )
 _TABLE_REPR = "UtilityMatrix(v11=10000.0, v12=0.0, v21=1010000.0, v22=1000000.0)"
 _GENERIC = "kind=<EventKind.GENERIC: 'generic'>, copy_of=None"
@@ -225,8 +225,8 @@ def test_an_int_too_large_to_print_raises_validation_error(call):
 def _instances():
     """One value of each library type that is neither an exception nor an Enum."""
     table = newcomb.UtilityMatrix.classic()
-    c1_report = newcomb.SimulationReport(newcomb.CChoice.C1, 5, 0, 1.0, 1.0, 0.0, 0.0)
-    c2_report = newcomb.SimulationReport(newcomb.CChoice.C2, 5, 0, 1.0, 1.0, 0.0, 0.0)
+    c1_report = newcomb.SimulationReport(newcomb.CChoice.C1, 5, 0, 1.0, 1.0, 0.0)
+    c2_report = newcomb.SimulationReport(newcomb.CChoice.C2, 5, 0, 1.0, 1.0, 0.0)
     return [
         table,
         newcomb.PredictorProfile(0.5, 0.5),

@@ -85,6 +85,14 @@ def test_stream_values_are_uniform_unit_interval():
     assert abs(sum(draws) / len(draws) - 0.5) < 0.02
 
 
+def test_trial_streams_follow_the_published_splitmix64_sequence():
+    # Seed 0's trials 0, 1 and 2 start where SplitMix64 seeded with 0 stands
+    # after one, two and three Weyl steps, so they print its first outputs.
+    outputs = [sim._mix64(sim._trial_start(0, i)) for i in range(3)]
+    assert outputs == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert TrialStream(0, 0).uniform() == (0xE220A8397B1DCDAF >> 11) * 2.0**-53
+
+
 @pytest.mark.parametrize("bad", [-1, 1 << 64, 2.0, "7"])
 def test_rng_spec_rejects_bad_seed(bad):
     with pytest.raises(ValidationError):
@@ -256,7 +264,7 @@ def test_play_once_rejects_bad_choice_or_stream():
             play_once(CLASSIC, RANDOM_P, CChoice.C1, stream)
 
 
-C1_REPORT = SimulationReport(CChoice.C1, 5, 0, 1.0, 1.0, 0.0, 0.0)
+C1_REPORT = SimulationReport(CChoice.C1, 5, 0, 1.0, 1.0, 0.0)
 C2_REPORT = C1_REPORT.replace(c_choice=CChoice.C2)
 
 
@@ -266,13 +274,12 @@ C2_REPORT = C1_REPORT.replace(c_choice=CChoice.C2)
         pytest.param(lambda: ComparisonTable(1, 2), id="table-ints"),
         pytest.param(lambda: ComparisonTable(C1_REPORT, C1_REPORT), id="table-c2-reports-C1"),
         pytest.param(lambda: ComparisonTable(C2_REPORT, C2_REPORT), id="table-c1-reports-C2"),
-        pytest.param(lambda: SimulationReport("C9", 5, -3, "a", None, 0.0, "b"), id="report-all"),
+        pytest.param(lambda: SimulationReport("C9", 5, -3, "a", None, "b"), id="report-all"),
         pytest.param(lambda: C1_REPORT.replace(trials=0), id="report-trials"),
         pytest.param(lambda: C1_REPORT.replace(seed=1 << 64), id="report-seed"),
         pytest.param(lambda: C1_REPORT.replace(empirical_mean=math.nan), id="report-mean"),
         pytest.param(lambda: C1_REPORT.replace(theoretical=math.inf), id="report-theory"),
         pytest.param(lambda: C1_REPORT.replace(standard_error=-1.0), id="report-se"),
-        pytest.param(lambda: C1_REPORT.replace(elapsed_seconds=-0.5), id="report-elapsed"),
         pytest.param(lambda: TrialTrace(1, 1, "x"), id="trace-all"),
         pytest.param(lambda: TrialTrace(CChoice.C1, CChoice.C1, 1.0), id="trace-s-choice"),
         pytest.param(lambda: TrialTrace(CChoice.C1, SChoice.S1, -1.0), id="trace-utility"),
@@ -287,9 +294,9 @@ def test_sim_records_store_their_numbers_as_floats():
     # as UtilityMatrix does: an int payoff or mean is stored as the float it checks
     utility = TrialTrace(CChoice.C1, SChoice.S1, 5).utility
     assert type(utility) is float and utility == 5.0
-    report = SimulationReport(CChoice.C1, 5, 0, 1, 1, 0, 0)
-    numbers = (report.empirical_mean, report.theoretical, report.standard_error, report.elapsed_seconds)
-    assert [type(x) for x in numbers] == [float] * 4
+    report = SimulationReport(CChoice.C1, 5, 0, 1, 1, 0)
+    numbers = (report.empirical_mean, report.theoretical, report.standard_error)
+    assert [type(x) for x in numbers] == [float] * 3
     assert "empirical_mean=1.0," in repr(report)
     assert (report.trials, report.seed) == (5, 0)
 
@@ -351,7 +358,7 @@ def test_monte_carlo_parallelism_is_bit_identical(monkeypatch):
             base = monte_carlo(CLASSIC, p, CChoice.C1, n, RngSpec(13), parallelism=1)
             for workers in (2, 8):
                 run = monte_carlo(CLASSIC, p, CChoice.C1, n, RngSpec(13), parallelism=workers)
-                assert run.empirical_mean == base.empirical_mean
+                assert run == base
 
     # a degree far beyond the cores and chunks is capped to one serial span,
     # and a batch that needs no draws runs serially however many chunks it spans
@@ -361,7 +368,7 @@ def test_monte_carlo_parallelism_is_bit_identical(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     base = monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, 1_000, RngSpec(13), parallelism=1)
     run = monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, 1_000, RngSpec(13), parallelism=10**6)
-    assert run.empirical_mean == base.empirical_mean
+    assert run == base
     run = monte_carlo(CLASSIC, PERFECT_P, CChoice.C1, 3 * sim._CHUNK + 1, RngSpec(13), parallelism=8)
     assert run.empirical_mean == 10_000.0
 
@@ -399,7 +406,6 @@ def test_monte_carlo_report_fields():
     assert report.seed == 21
     assert report.theoretical == expected_utilities(CLASSIC, RANDOM_P)[1]
     assert report.standard_error == standard_error(CLASSIC, RANDOM_P, CChoice.C2, 1_000)
-    assert report.elapsed_seconds >= 0.0
 
 
 @pytest.mark.parametrize(
@@ -530,8 +536,7 @@ def test_compare_uses_disjoint_trial_ranges():
     table = compare(CLASSIC, RANDOM_P, n, rng)
     c1 = monte_carlo(CLASSIC, RANDOM_P, CChoice.C1, n, rng, first_trial=0)
     c2 = monte_carlo(CLASSIC, RANDOM_P, CChoice.C2, n, rng, first_trial=n)
-    assert table.c1.empirical_mean == c1.empirical_mean
-    assert table.c2.empirical_mean == c2.empirical_mean
+    assert table == ComparisonTable(c1, c2)
 
 
 def test_compare_perfect_predictor_table_is_exact():
