@@ -5,7 +5,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from newcomb import (
     GAME_UNFOLD,
@@ -704,6 +704,28 @@ def test_unknown_node_in_walk_raises():
         validate_linearity([1, 2, 99], game_graph())
 
 
+class _Id(int):
+    """An int subclass: a valid node id, though not of type int."""
+
+
+def test_id_rule_is_the_same_for_int_subclasses_and_bad_ids():
+    g = game_graph()
+    walk = player_timeline(g, Player.OMEGA)
+    subclassed = [_Id(i) for i in walk]
+    assert validate_linearity(subclassed, g) is True
+    assert detect_twist(subclassed, g) == detect_twist(walk, g)
+    assert g.node(_Id(5)) is g.node(5) and g.successors(_Id(2)) == (3, 6)
+    # the first value that breaks the rule is named: True before 2.0
+    for bad_walk, named in (([1, True, 2.0], "True"), ([1, [2]], "[2]"), ([1, 2, 99], "99")):
+        for check in (validate_linearity, detect_twist):
+            with pytest.raises(ValidationError) as caught:
+                check(bad_walk, g)
+            assert str(caught.value) == f"timeline id must be an int id of a node in the graph, got {named}"
+    for bad_id in ([5], 99, True, 5.0):
+        with pytest.raises(ValidationError, match="^node_id must be an int id"):
+            g.node(bad_id)
+
+
 # ── entanglement_closure ───────────────────────────────────────────
 
 
@@ -965,6 +987,86 @@ def test_dot_plain_chain_is_all_solid():
 def test_dot_output_is_byte_stable():
     assert to_dot(game_graph()) == to_dot(game_graph())
     assert to_dot(base_chain(6)) == to_dot(base_chain(6))
+
+
+def _reference_dot(g):
+    """The DOT text by its rule: nodes by id, sorted(edges), each class's members ascending."""
+    originals = set(g.original_ids())
+    lines = ["digraph tlg {", "  rankdir=LR;"]
+    for node in sorted(g.nodes, key=lambda node: node.id):
+        lines.append(f'  {node.id} [label="{node.id}: {node.kind.value}"];')
+    for u, v in sorted(g.edges):
+        style = "solid" if u in originals and v in originals else "dashed"
+        lines.append(f"  {u} -> {v} [style={style}];")
+    for cls in sorted(g.entanglement, key=min):
+        members = sorted(cls)
+        for a, b in zip(members, members[1:]):
+            lines.append(f"  {a} -> {b} [dir=none, style=dotted, constraint=false];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def hand_built_graphs(draw):
+    """Graphs from TLGraph.build: ids 1-30 given out of order, any kinds, copies, fan-out, classes."""
+    ids = draw(st.lists(st.integers(1, 30), min_size=1, max_size=12, unique=True))
+    kinds = draw(st.permutations(list(EventKind)))[: draw(st.integers(1, len(EventKind)))]
+    nodes = []
+    for node_id in ids:
+        originals = [node for node in nodes if node.copy_of is None]
+        original = draw(st.none() | st.sampled_from(originals)) if originals else None
+        if original is None:
+            nodes.append(EventNode(node_id, draw(st.sampled_from(kinds))))
+        else:
+            nodes.append(EventNode(node_id, original.kind, original.id))
+    kind_of = {node.id: node.kind for node in nodes}
+    endpoints = st.sampled_from(ids)
+    edges = draw(st.sets(st.tuples(endpoints, endpoints).filter(lambda e: e[0] != e[1]),
+                         max_size=3 * len(ids)))
+    pairs = draw(st.lists(st.tuples(endpoints, endpoints), max_size=2 * len(ids)))
+    return TLGraph.build(nodes, edges, [(a, b) for a, b in pairs if kind_of[a] is kind_of[b]])
+
+
+# Every kind, two copies (11 of 7, 4 of 2), fan-out from 1 and 2, the
+# class {2, 4, 5}, and nodes given out of id order.
+_MIXED_GRAPH = TLGraph.build(
+    [EventNode(12, EventKind.OUTCOME), EventNode(3, EventKind.S_CHOICE),
+     EventNode(7, EventKind.C_CHOICE), EventNode(1, EventKind.ORACLE_START),
+     EventNode(10, EventKind.ELABORATION), EventNode(2, EventKind.GENERIC),
+     EventNode(5, EventKind.GENERIC), EventNode(11, EventKind.C_CHOICE, 7),
+     EventNode(4, EventKind.GENERIC, 2)],
+    [(1, 3), (1, 12), (1, 10), (3, 7), (7, 12), (10, 2), (2, 5), (2, 4), (11, 12), (3, 11)],
+    [(2, 5), (5, 4), (11, 7)],
+)
+
+
+@pytest.mark.parametrize("has", [
+    lambda g: any(len(g.successors(node.id)) > 1 for node in g.nodes),
+    lambda g: any(len(cls) > 2 for cls in g.entanglement),
+    lambda g: any(node.copy_of is not None for node in g.nodes),
+    *(lambda g, kind=kind: any(node.kind is kind for node in g.nodes) for kind in EventKind),
+], ids=["fan-out", "class-of-three", "copy", *(kind.name for kind in EventKind)])
+def test_hand_built_graphs_reach_each_shape(has):
+    assert has(_MIXED_GRAPH)
+    find(hand_built_graphs(), has, settings=settings(database=None, derandomize=True, phases=[Phase.generate]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=hand_built_graphs())
+@example(g=_MIXED_GRAPH)
+def test_dot_of_hand_built_graphs_follows_its_rule(g):
+    assert to_dot(g) == _reference_dot(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=hand_built_graphs())
+@example(g=_MIXED_GRAPH)
+def test_successors_ascend_and_run_through_the_sorted_edges(g):
+    # to_dot reads sorted(edges) off the successor lists in node order
+    ids = sorted(node.id for node in g.nodes)
+    for u in ids:
+        assert list(g.successors(u)) == sorted(g.successors(u))
+    assert [(u, v) for u in ids for v in g.successors(u)] == sorted(g.edges)
 
 
 # ── misc structure ─────────────────────────────────────────────────
