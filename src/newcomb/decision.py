@@ -19,7 +19,12 @@ rule is the half-plane
                               b  = v12 - v21,
 
 which for the classic payoff table (10000 / 0 / 1010000 / 1000000
-euros) reduces to p1 + p2 <= 1.01.
+euros) has a1 = a2 < 0, so dividing by a1 reduces it to
+p1 + p2 <= b / a1 = 1.01:
+
+    >>> line = decision_boundary(UtilityMatrix.classic())
+    >>> line.a1 == line.a2 < 0, line.b / line.a1
+    (True, 1.01)
 
 Everything here is a pure function of its inputs; all values are
 64-bit floats and no shared state exists, so concurrent use is safe.
@@ -184,10 +189,14 @@ def expected_utilities(v: UtilityMatrix, p: PredictorProfile) -> tuple[float, fl
     directly in double precision with no extra rounding. At p1 = 0 and
     p2 = 0 that gives v21 and v12 exactly, but at p1 = 1 or p2 = 1 the
     rounding can miss v11 or v22 on a table with non-integer entries:
-    UtilityMatrix(1142.8, 493577.9, 867602.8, 243910.9) at p1 = 1 gives
-    U1 = 1142.8000000000466, while a perfect predictor's batch mean,
-    which is exact, gives 1142.8. The form is kept, as region_grid's
-    bisection relies on its being monotone in p.
+
+    >>> v = UtilityMatrix(1142.8, 493577.9, 867602.8, 243910.9)
+    >>> expected_utilities(v, PredictorProfile(1, 1))
+    (1142.8000000000466, 243910.9)
+
+    A perfect predictor's batch mean, which is exact, gives 1142.8 for
+    U1. The form is kept, as region_grid's bisection relies on its being
+    monotone in p.
     """
     check_type(v, "v", UtilityMatrix)
     check_type(p, "p", PredictorProfile)

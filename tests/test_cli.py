@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -31,28 +32,37 @@ from newcomb.cli import (
 from newcomb._validate import MAX_TRIALS
 from newcomb.decision import MAX_RESOLUTION
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+CHECKOUT = Path(__file__).resolve().parents[1]
+README = CHECKOUT / "README.md"
 CLASSIC_JSON = '{"utilities": [[10000, 0], [1010000, 1000000]], "predictor": [0.5, 0.5]}'
 RANDOM_P = PredictorProfile(0.5, 0.5)
 
-# Child interpreters import the package from the same source tree as this one.
-_SRC = os.path.dirname(os.path.dirname(os.path.abspath(newcomb.__file__)))
-CHILD_ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))),
-    # pytest's filterwarnings does not reach child interpreters
-    "PYTHONWARNINGS": "error",
-}
+# ── child processes ────────────────────────────────────────────────
+# Every child runs the package this process imported, from a working
+# directory outside the checkout. If that is the checkout's source tree,
+# the CLI is `python -m newcomb` with src on PYTHONPATH; if it is an
+# installed copy, the CLI is the console script installed next to this
+# interpreter, and PYTHONPATH is unset (README, "Tests and acceptance suite").
+CHILD_ENV = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+# pytest's filterwarnings does not reach child interpreters
+CHILD_ENV["PYTHONWARNINGS"] = "error"
+if Path(newcomb.__file__).resolve().is_relative_to(CHECKOUT / "src"):
+    CLI = [sys.executable, "-m", "newcomb"]
+    CHILD_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, (str(CHECKOUT / "src"), os.environ.get("PYTHONPATH"))))
+else:
+    CLI = [os.path.join(os.path.dirname(sys.executable), "newcomb")]
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "newcomb", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=CHILD_ENV,
-    )
+def run_child(command):
+    return subprocess.run(command, capture_output=True, text=True, cwd=tempfile.gettempdir(), env=CHILD_ENV)
+
+
+def run_cli(*args):
+    return run_child([*CLI, *args])
+
+
+def run_python(script):
+    return run_child([sys.executable, "-c", script])
 
 
 def strict_json(text):
@@ -355,16 +365,19 @@ def test_cli_expected_runs(tmp_path):
     doc = json.loads(result.stdout)
     assert doc["choice"] == "C1"
     assert doc["u1"] == 510_000.0
+    assert doc["config"]["parallelism"] == 1  # on any host, however many cores
 
 
 def test_cli_simulate_is_deterministic(tmp_path):
     config = tmp_path / "game.json"
     config.write_text(CLASSIC_JSON)
-    args = ("simulate", "--config", str(config), "--trials", "2000", "--seed", "42")
-    first = run_cli(*args)
-    second = run_cli(*args)
-    assert first.returncode == 0 and second.returncode == 0
-    assert first.stdout == second.stdout
+    past_lanes = str(newcomb.sim._LANE_MAX + 1)
+    # the lane kernel, then numpy's kernel with the batch split over a thread pool
+    for flags in (["--trials", "2000", "--seed", "42"], ["--trials", past_lanes, "--parallelism", "2"]):
+        first = run_cli("simulate", "--config", str(config), *flags)
+        second = run_cli("simulate", "--config", str(config), *flags)
+        assert first.returncode == 0 and second.returncode == 0, (flags, first.stderr, second.stderr)
+        assert first.stdout == second.stdout, flags
 
 
 def test_cli_simulate_prints_the_pinned_classic_means(tmp_path):
@@ -436,9 +449,7 @@ assert not loaded, loaded
 missing = sorted(set({needed!r}) - set(sys.modules))
 assert not missing, missing
 """
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
-        )
+        result = run_python(script)
         assert result.returncode == 0, (argv, result.stderr)
 
 
@@ -456,9 +467,7 @@ for n in {sizes!r}:
     print(repr(compare(UtilityMatrix.classic(), PredictorProfile(0.5, 0.5), n).empirical))
 assert "numpy" not in sys.modules
 """
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
-    )
+    result = run_python(script)
     assert result.returncode == 0, result.stderr
     expected = [repr(newcomb.compare(UtilityMatrix.classic(), RANDOM_P, n).empirical) for n in sizes]
     assert result.stdout.splitlines() == expected
@@ -478,9 +487,7 @@ assert OMEGA_ORDER == timeline == (1, 3, 5, 2, 6, 7), OMEGA_ORDER
 for name in ("cli", "decision", "errors"):
     assert getattr(newcomb, name) is sys.modules["newcomb." + name], name
 """
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
-    )
+    result = run_python(script)
     assert result.returncode == 0, result.stderr
 
 
@@ -491,13 +498,14 @@ def test_cli_region_bytes_are_reproducible(tmp_path):
     assert run_cli("region", "--config", str(config), "--out", str(out1), "--resolution", "21").returncode == 0
     assert run_cli("region", "--config", str(config), "--out", str(out2), "--resolution", "21").returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert len(out1.read_text().splitlines()) == 1 + 21 * 21
 
 
 def test_cli_graph_subcommand_needs_no_config(tmp_path):
     out = tmp_path / "tlg.dot"
     result = run_cli("graph", "--out", str(out))
     assert result.returncode == 0
-    assert out.exists()
+    assert out.read_text().startswith("digraph tlg {")
 
 
 def test_cli_validation_error_exits_2(tmp_path):
@@ -568,12 +576,7 @@ def test_cli_report_to_a_closed_stdout_exits_3(tmp_path):
         (["graph", "--out", str(tmp_path / "tlg.dot")], 0),
     ]
     for argv, code in commands:
-        result = subprocess.run(
-            ["sh", "-c", '"$0" -m newcomb "$@" >&-', sys.executable, *argv],
-            capture_output=True,
-            text=True,
-            env=CHILD_ENV,
-        )
+        result = run_child(["sh", "-c", '"$0" "$@" >&-', *CLI, *argv])
         assert result.returncode == code, (argv, result.stderr)
         if code == 3:
             assert result.stderr == "error: cannot write the report: stdout is closed\n"
@@ -602,7 +605,14 @@ def test_cli_usage_error_exits_2():
 def test_cli_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0
-    assert "newcomb" in result.stdout
+    assert result.stdout == f"newcomb {newcomb.__version__}\n"
+
+
+def test_child_interpreters_import_the_package_this_process_imported():
+    # In either mode, so a child never tests another copy of the package.
+    result = run_python("import newcomb; print(newcomb.__file__)")
+    assert result.returncode == 0, result.stderr
+    assert Path(result.stdout.rstrip("\n")).resolve() == Path(newcomb.__file__).resolve()
 
 
 # ── per-command flags ──────────────────────────────────────────────

@@ -19,7 +19,6 @@ from newcomb import cli
 from newcomb._record import Record
 
 ROOT = Path(__file__).resolve().parents[1]
-README = ROOT / "README.md"
 SUBMODULES = [import_module(f"newcomb.{name}") for name in ("decision", "errors", "sim", "tlg")]
 
 
@@ -30,16 +29,6 @@ def test_every_export_is_the_object_its_submodule_defines():
         owners = [m for m in SUBMODULES if name in m.__all__]
         assert len(owners) == 1, (name, owners)
         assert getattr(newcomb, name) is getattr(owners[0], name), name
-
-
-def test_the_readme_library_example_runs():
-    # a renamed or deleted export that the example still uses fails here
-    library = README.read_text().split("\n## Library\n", 1)[1]
-    namespace = {}
-    exec(library.split("```python\n", 1)[1].split("\n```", 1)[0], namespace)
-    assert namespace["table"].theoretical == (510000.0, 500000.0)
-    trace = namespace["trace"]
-    assert (trace.s_choice, trace.utility) == (newcomb.SChoice.S2, 1010000.0)
 
 
 @pytest.mark.parametrize(

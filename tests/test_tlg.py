@@ -187,6 +187,10 @@ def test_unfold_rejects_non_chain_input():
     shuffled = TLGraph.build(events, [(1, 3), (3, 2), (2, 4)])
     with pytest.raises(GraphStructureError, match="input graph is not a chain"):
         unfold(shuffled, UnfoldSpec(4, 2, 3))
+    # every chain edge, and one more
+    with_a_shortcut = TLGraph.build(events, [(1, 2), (2, 3), (3, 4), (1, 3)])
+    with pytest.raises(GraphStructureError, match="input graph is not a chain"):
+        unfold(with_a_shortcut, UnfoldSpec(4, 2, 3))
     # the right edges, but node 4 is a copy of node 3
     holding_a_copy = TLGraph.build([*events[:3], EventNode(4, EventKind.GENERIC, 3)], [(1, 2), (2, 3), (3, 4)])
     with pytest.raises(GraphStructureError, match=r"expected the original events 1\.\.4, with no copy"):
