@@ -181,31 +181,44 @@ _LANES = 1 << 10
 # 6.3-12.6 ns for numpy: crossovers of 1.1e6 to 1.7e6 trials (median
 # 1.45e6). 2^20 = 1.05e6 stays below them all.
 _LANE_MAX = 1 << 20
+# The fewest trials _count_s1 gives each worker of a thread pool. On a 2 vCPU
+# Xeon (Python 3.11.7, numpy 2.4.6), medians of seven alternating runs of
+# _count_s1 at q = 0.5 with numpy loaded read 2 workers against 1 at 0.88x on
+# 2^20 trials, 0.92x on 2^22, 0.96x on 2^23, 1.01x on 2^24, 1.37x on 2e7 and
+# 1.88x on 2^25. So a second worker breaks even from 2^24 trials, 2^23 each.
+_WORKER_MIN_TRIALS = 1 << 23
 
 
 def _count_s1(seed: int, start: int, n: int, q: float, parallelism: int) -> int:
     # The number of trials in [start, start + n) whose TrialStream draw is
-    # below q, the one rule every batch is counted by:
+    # below q, the one rule every batch is counted by. Counts are exact, so
+    # no kernel or split changes the total.
     # 1. At q <= 0 no draw is below q, and at q >= 1 every draw is.
     # 2. A draw is u = (x >> 11) * 2^-53, and for an integer x, u < q holds
     #    iff x < ceil(q * 2^53) << 11. For 0 < q < 1 that threshold lies in
     #    [2^11, 2^64 - 2^11], the range both kernels require.
-    # 3. A batch of at most _LANE_MAX trials counts on Python ints when
-    #    nothing has loaded numpy yet, so it skips numpy's import. Its
-    #    big-int passes hold the GIL, so it runs on one worker.
-    # 4. Any other batch counts with numpy, split into contiguous spans, at
-    #    most one per worker, with the workers capped by parallelism, the
-    #    cores and the kernel's chunks. A thread pool starts only for two or
-    #    more workers. Counts are exact, so no split changes the total.
+    # 3. The lanes count on Python ints, on one worker, as their big-int
+    #    passes hold the GIL. They take a batch of at most _LANE_MAX trials
+    #    while numpy is not loaded, which skips numpy's import, and any batch
+    #    when numpy cannot be imported. A blocked import leaves None in
+    #    sys.modules, which counts as not loaded.
+    # 4. numpy's kernel counts any other batch on one worker,
+    # 5. unless parallelism and the cores allow two or more workers with
+    #    _WORKER_MIN_TRIALS trials each. Then a thread pool counts contiguous
+    #    spans, one per worker.
     if q <= 0.0:
         return 0
     if q >= 1.0:
         return n
     threshold = math.ceil(q * 2.0**53) << 11
-    if n <= _LANE_MAX and "numpy" not in sys.modules:
+    if n <= _LANE_MAX and sys.modules.get("numpy") is None:
         return _count_s1_lanes(seed, start, start + n, threshold)
-    workers = min(parallelism, os.cpu_count() or 1, -(-n // _CHUNK))
-    if workers == 1:
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return _count_s1_lanes(seed, start, start + n, threshold)
+    workers = min(parallelism, os.cpu_count() or 1, n // _WORKER_MIN_TRIALS)
+    if workers <= 1:
         return _count_s1_numpy(seed, start, start + n, threshold)
     from concurrent.futures import ThreadPoolExecutor
 

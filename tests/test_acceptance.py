@@ -168,8 +168,9 @@ def test_criterion_09_property_suite():
         assert choose(UtilityMatrix(*(entries * scale)), p) is picked
 
     # parallel determinism
-    # (the last size spans several chunks, so eight workers split it)
-    for n in (4_097, 50_000, 3 * sim._CHUNK + 1):
+    # (the last size gives two workers sim._WORKER_MIN_TRIALS trials each, so
+    # a host with two or more cores splits it)
+    for n in (4_097, 50_000, 3 * sim._CHUNK + 1, 2 * sim._WORKER_MIN_TRIALS + 1):
         solo = monte_carlo(CLASSIC, PredictorProfile(0.5, 0.5), CChoice.C1, n, RngSpec(7), parallelism=1)
         eight = monte_carlo(CLASSIC, PredictorProfile(0.5, 0.5), CChoice.C1, n, RngSpec(7), parallelism=8)
         assert solo == eight

@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import newcomb
 from newcomb import ConfigError, PredictorProfile, UtilityMatrix, ValidationError, choose
 from newcomb.cli import (
-    DEFAULT_TRIALS,
     GameConfig,
     _build_parser,
     _format_probability,
@@ -371,9 +370,10 @@ def test_cli_expected_runs(tmp_path):
 def test_cli_simulate_is_deterministic(tmp_path):
     config = tmp_path / "game.json"
     config.write_text(CLASSIC_JSON)
-    past_lanes = str(newcomb.sim._LANE_MAX + 1)
-    # the lane kernel, then numpy's kernel with the batch split over a thread pool
-    for flags in (["--trials", "2000", "--seed", "42"], ["--trials", past_lanes, "--parallelism", "2"]):
+    two_floors = str(2 * newcomb.sim._WORKER_MIN_TRIALS)
+    # the lane kernel, then numpy's kernel with the batch split over a thread
+    # pool on a host with two or more cores
+    for flags in (["--trials", "2000", "--seed", "42"], ["--trials", two_floors, "--parallelism", "2"]):
         first = run_cli("simulate", "--config", str(config), *flags)
         second = run_cli("simulate", "--config", str(config), *flags)
         assert first.returncode == 0 and second.returncode == 0, (flags, first.stderr, second.stderr)
@@ -403,14 +403,16 @@ def test_cli_simulate_prints_strict_json_near_the_float_limit(tmp_path):
     assert 0.0 < doc["numerical"]["C2"] < 1.7e308
 
 
-def test_each_command_loads_only_its_layers(tmp_path):
+@pytest.mark.parametrize("blocked", [False, True], ids=["with_numpy", "without_numpy"])
+def test_each_command_loads_only_its_layers(tmp_path, blocked):
     # Each case runs in a fresh interpreter, which must not load the modules
     # listed first with it: the layers the command does not run, the thread
     # pool of a one-worker batch, and numpy unless a batch has 0 < q < 1 and
     # more than sim._LANE_MAX trials. It must load the modules listed second.
-    # Batches at q = 0 or 1 run on one worker, however many chunks they span.
-    # No case loads dataclasses, and only numpy loads inspect: the records
-    # are built without either.
+    # A batch runs on one worker at q = 0 or 1, below two floors of
+    # sim._WORKER_MIN_TRIALS, and on the lanes, which take every batch when
+    # numpy is blocked. No case loads dataclasses, and only numpy loads
+    # inspect: the records are built without either.
     config = tmp_path / "game.json"
     config.write_text(CLASSIC_JSON)
     perfect = tmp_path / "perfect.json"
@@ -418,33 +420,41 @@ def test_each_command_loads_only_its_layers(tmp_path):
     no_numpy = ["numpy", "dataclasses", "inspect"]
     closed_form_only = ["newcomb.sim", "newcomb.tlg", "concurrent.futures", *no_numpy]
     simulate_only = ["newcomb.tlg", "concurrent.futures", *no_numpy]
-    past_lanes = str(newcomb.sim._LANE_MAX + 1)
-    cases = [
-        (None, ["newcomb.decision", "newcomb.sim", "newcomb.tlg", "newcomb.cli", *no_numpy], []),
-        (["expected", "--config", str(config)], closed_form_only, []),
-        (["region", "--config", str(config), "--out", str(tmp_path / "region.csv")], closed_form_only, []),
-        (["graph", "--out", str(tmp_path / "tlg.dot")], ["newcomb.sim", *no_numpy], []),
-        (["simulate", "--config", str(config), "--parallelism", "1"], simulate_only, []),
-        (["simulate", "--config", str(config), "--trials", "200000"], simulate_only, []),
-        (
-            ["simulate", "--config", str(config), "--trials", past_lanes],
-            ["newcomb.tlg", "concurrent.futures", "dataclasses"],
-            ["numpy"],
-        ),
-        (
-            ["simulate", "--config", str(perfect), "--trials", "200000", "--parallelism", "2"],
-            ["concurrent.futures", *no_numpy],
-            [],
-        ),
-    ]
+    past_lanes = ["--trials", str(newcomb.sim._LANE_MAX + 1), "--parallelism", "2"]
+    if blocked:
+        cases = [
+            (["simulate", "--config", str(config)], simulate_only, []),
+            (["simulate", "--config", str(config), *past_lanes], simulate_only, []),
+        ]
+    else:
+        cases = [
+            (None, ["newcomb.decision", "newcomb.sim", "newcomb.tlg", "newcomb.cli", *no_numpy], []),
+            (["expected", "--config", str(config)], closed_form_only, []),
+            (["region", "--config", str(config), "--out", str(tmp_path / "region.csv")], closed_form_only, []),
+            (["graph", "--out", str(tmp_path / "tlg.dot")], ["newcomb.sim", *no_numpy], []),
+            (["simulate", "--config", str(config), "--parallelism", "1"], simulate_only, []),
+            (["simulate", "--config", str(config), "--trials", "200000"], simulate_only, []),
+            (
+                ["simulate", "--config", str(config), *past_lanes],
+                ["newcomb.tlg", "concurrent.futures", "dataclasses"],
+                ["numpy"],
+            ),
+            (
+                ["simulate", "--config", str(perfect), "--trials", "200000", "--parallelism", "2"],
+                ["concurrent.futures", *no_numpy],
+                [],
+            ),
+        ]
     for argv, unloaded, needed in cases:
         script = f"""
 import sys
+if {blocked!r}:
+    sys.modules["numpy"] = None
 import newcomb
 if {argv!r} is not None:
     from newcomb import cli
     assert cli.main({argv!r}) == 0
-loaded = sorted(set({unloaded!r}) & set(sys.modules))
+loaded = sorted(name for name in {unloaded!r} if sys.modules.get(name) is not None)
 assert not loaded, loaded
 missing = sorted(set({needed!r}) - set(sys.modules))
 assert not missing, missing
@@ -454,23 +464,49 @@ assert not missing, missing
 
 
 def test_compare_without_numpy_matches_the_numpy_kernel():
-    # A fresh interpreter has not loaded numpy, so it counts batches of up
-    # to sim._LANE_MAX trials on Python ints; this process, which loads
-    # numpy first, counts them with numpy's kernel.
-    import numpy  # noqa: F401
-
-    sizes = [DEFAULT_TRIALS, newcomb.sim._LANE_MAX]
+    # A child with numpy blocked counts every batch on Python ints, the last
+    # one past sim._LANE_MAX included. The means are pinned from numpy's
+    # kernel, so this test needs no numpy of its own.
+    pinned = {
+        50_000: (509_220.0, 499_080.0),
+        1 << 20: (509963.76037597656, 500520.7061767578),
+        (1 << 20) + 1: (509964.2372472408, 500519.27517006383),
+    }
+    assert max(pinned) == newcomb.sim._LANE_MAX + 1
     script = f"""
 import sys
+sys.modules["numpy"] = None
 from newcomb import PredictorProfile, UtilityMatrix, compare
-for n in {sizes!r}:
+for n in {list(pinned)!r}:
     print(repr(compare(UtilityMatrix.classic(), PredictorProfile(0.5, 0.5), n).empirical))
-assert "numpy" not in sys.modules
 """
     result = run_python(script)
     assert result.returncode == 0, result.stderr
-    expected = [repr(newcomb.compare(UtilityMatrix.classic(), RANDOM_P, n).empirical) for n in sizes]
-    assert result.stdout.splitlines() == expected
+    assert result.stdout.splitlines() == [repr(means) for means in pinned.values()]
+
+
+def test_cli_simulate_prints_the_same_bytes_without_numpy(tmp_path):
+    # The default batch counts on the lanes either way; the batch past
+    # sim._LANE_MAX counts with numpy's kernel where numpy can be imported,
+    # and on the lanes in the child that blocks it.
+    config = tmp_path / "game.json"
+    config.write_text(CLASSIC_JSON)
+    pinned = [
+        ([], {"C1": 509_220.0, "C2": 499_080.0}),
+        (
+            ["--trials", str(newcomb.sim._LANE_MAX + 1), "--parallelism", "2"],
+            {"C1": 509964.2372472408, "C2": 500519.27517006383},
+        ),
+    ]
+    for flags, means in pinned:
+        argv = ["simulate", "--config", str(config), *flags]
+        with_numpy = run_cli(*argv)
+        without_numpy = run_python(
+            f"import sys\nsys.modules['numpy'] = None\nfrom newcomb import cli\nsys.exit(cli.main({argv!r}))"
+        )
+        assert with_numpy.returncode == 0 and without_numpy.returncode == 0, (flags, without_numpy.stderr)
+        assert without_numpy.stdout == with_numpy.stdout, flags
+        assert json.loads(without_numpy.stdout)["numerical"] == means, flags
 
 
 def test_submodules_and_omega_order_resolve_after_a_bare_import():

@@ -351,8 +351,10 @@ def test_monte_carlo_respects_first_trial_offset():
 def test_monte_carlo_parallelism_is_bit_identical(monkeypatch):
     # the last two sizes span several kernel chunks and split unevenly;
     # the perfect predictor makes a lost or repeated trial change the mean.
-    # Eight reported cores let 2 and 8 workers split them on any host.
+    # Eight reported cores and a floor of 1 000 trials per worker let 2 and 8
+    # workers split all but the first size on any host.
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(sim, "_WORKER_MIN_TRIALS", 1_000)
     for n in (1, 4_096, 4_097, 50_000, 3 * sim._CHUNK + 1, 5 * sim._CHUNK - 7):
         for p in (RANDOM_P, PERFECT_P):
             base = monte_carlo(CLASSIC, p, CChoice.C1, n, RngSpec(13), parallelism=1)
@@ -360,7 +362,7 @@ def test_monte_carlo_parallelism_is_bit_identical(monkeypatch):
                 run = monte_carlo(CLASSIC, p, CChoice.C1, n, RngSpec(13), parallelism=workers)
                 assert run == base
 
-    # a degree far beyond the cores and chunks is capped to one serial span,
+    # a degree far beyond the cores and the floor is capped to one serial span,
     # and a batch that needs no draws runs serially however many chunks it spans
     def no_pool(*args, **kwargs):
         raise AssertionError("a serial batch started a thread pool")
