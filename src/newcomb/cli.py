@@ -73,14 +73,9 @@ class GameConfig(Record):
         set_field(self, "parallelism", check_int(parallelism, "parallelism", 1))
 
     def to_dict(self) -> dict:
-        return {
-            "utilities": self.utilities.as_rows(),
-            "predictor": [self.predictor.p1, self.predictor.p2],
-            "trials": self.trials,
-            "seed": self.seed,
-            "resolution": self.resolution,
-            "parallelism": self.parallelism,
-        }
+        # the fields in order, the two records as the arrays parse_config reads
+        fields = dict(zip(self._fields, self._values()))
+        return {**fields, "utilities": self.utilities.as_rows(), "predictor": list(self.predictor._values())}
 
 
 def parse_config(text: str) -> GameConfig:
@@ -279,12 +274,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flush_stdout() -> None:
+    # Here, where main reports an OSError: at interpreter exit a failed flush
+    # prints "Exception ignored" and exits 120. After a failure the process's
+    # own stdout goes to /dev/null, so that the exit flush cannot fail again.
+    try:
+        sys.stdout.flush()
+    except OSError:
+        if sys.stdout is sys.__stdout__:  # not a stream a caller put in its place
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args, unknown = parser.parse_known_args(argv)
-    if unknown:
-        args.usage.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
+        try:
+            args, unknown = parser.parse_known_args(argv)
+        finally:  # --version and --help print and exit in there
+            if sys.stdout is not None:
+                _flush_stdout()
+        if unknown:
+            args.usage.error(f"unrecognized arguments: {' '.join(unknown)}")
         if args.command in ("expected", "simulate"):
             report = cmd_expected if args.command == "expected" else cmd_simulate
             config = _load_config(args)
@@ -295,16 +307,14 @@ def main(argv: list[str] | None = None) -> int:
             # One write, so that an unbuffered stdout never sends the newline
             # after a reader such as `grep -q` has already gone.
             sys.stdout.write(json.dumps(report(config), indent=2, allow_nan=False) + "\n")
+            _flush_stdout()
         elif args.command == "region":
             cmd_region(_load_config(args), args.out)
         elif args.command == "graph":
             if args.config is not None:
                 _load_config(args)  # validate when given; content is not used
             cmd_graph(args.out, base_chain_only=args.base_chain_only)
-    except NewcombError as exc:
+    except (NewcombError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, NewcombError) else 3
     return 0

@@ -31,7 +31,6 @@ checked arguments they build graphs valid by construction (see unfold).
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterable, Sequence
 from enum import Enum
 from functools import cached_property
@@ -250,14 +249,14 @@ class TLGraph(Record):
 
     def original_ids(self) -> tuple[int, ...]:
         """Ids of base-chain events: not copies, not elaborations."""
-        return self._original_ids
+        return tuple(self._base_order)
 
     @cached_property
-    def _original_ids(self) -> tuple[int, ...]:
+    def _base_order(self) -> dict[int, int]:
+        # original id -> its place in base order, in id order
         elaboration = EventKind.ELABORATION  # one Enum lookup, not one per node
-        return tuple(n.id for n in self.nodes if n.copy_of is None and n.kind is not elaboration)
-
-    _original_set = cached_property(lambda self: frozenset(self._original_ids))
+        originals = [n.id for n in self.nodes if n.copy_of is None and n.kind is not elaboration]
+        return dict(zip(originals, range(len(originals))))
 
 
 def _graph(nodes, edges, entanglement) -> TLGraph:
@@ -390,7 +389,7 @@ def player_timeline(tlg: TLGraph, player: Player) -> tuple[int, ...]:
     """
     check_type(tlg, "graph", TLGraph)
     check_type(player, "player", Player)
-    n = len(tlg.original_ids())
+    n = len(tlg._base_order)
     # the detour edges, sorted: (m, n+1) comes before (n+1, k) since m <= n
     detour = sorted(edge for edge in tlg.edges if n + 1 in edge)
     try:
@@ -420,17 +419,17 @@ def player_timeline(tlg: TLGraph, player: Player) -> tuple[int, ...]:
 OMEGA_ORDER = player_timeline(game_graph(), Player.OMEGA)
 
 
-def _chain_skip_allowed(tlg: TLGraph, originals: frozenset[int], a: int, b: int) -> bool:
+def _chain_skip_allowed(tlg: TLGraph, a: int, b: int) -> bool:
     # A walk may fast-forward along base-chain edges (the oracle's jump
-    # into the future); any other non-edge hop is invalid. originals is
-    # the set of tlg.original_ids(), so a and b are known ids.
+    # into the future); any other non-edge hop is invalid.
+    originals = tlg._base_order
     if a not in originals or b not in originals:
         return False
     successors = tlg._successors
-    frontier = deque([a])
+    frontier = [a]  # reachability: any visit order will do
     seen = {a}
     while frontier:
-        u = frontier.popleft()
+        u = frontier.pop()
         for v in successors[u]:
             if v == b:
                 return True
@@ -451,11 +450,7 @@ def validate_linearity(timeline: Sequence[int], tlg: TLGraph) -> bool:
     _known_ids(tlg._by_id, sequence, "timeline id")
     if not sequence or len(set(sequence)) != len(sequence):
         return False
-    originals = tlg._original_set
-    for a, b in zip(sequence, sequence[1:]):
-        if (a, b) not in tlg.edges and not _chain_skip_allowed(tlg, originals, a, b):
-            return False
-    return True
+    return all((a, b) in tlg.edges or _chain_skip_allowed(tlg, a, b) for a, b in zip(sequence, sequence[1:]))
 
 
 def is_chain(tlg: TLGraph) -> bool:
@@ -549,15 +544,9 @@ def detect_twist(timeline: Sequence[int], tlg: TLGraph) -> list[tuple[int, int]]
     check_type(tlg, "graph", TLGraph)
     sequence = as_tuple(timeline, "timeline")
     _known_ids(tlg._by_id, sequence, "timeline id")
-    position = {node_id: idx for idx, node_id in enumerate(tlg.original_ids())}
-
-    elaboration = EventKind.ELABORATION
-    mapped: list[tuple[int, int]] = []  # (timeline id, base position)
-    for node_id in sequence:
-        node = tlg._by_id[node_id]
-        if node.kind is elaboration:
-            continue
-        mapped.append((node_id, position[node.copy_of or node.id]))
+    position, by_id = tlg._base_order, tlg._by_id
+    # (timeline id, base position); elaborations, and copies of them, have none
+    mapped = [(i, position[base]) for i in sequence if (base := by_id[i].copy_of or i) in position]
 
     # later_min[i] is the least base position after i; an i whose own
     # position is no greater than that starts no twist and is skipped
@@ -586,7 +575,7 @@ def to_dot(tlg: TLGraph) -> str:
     function of the graph.
     """
     check_type(tlg, "graph", TLGraph)
-    originals = tlg._original_set
+    originals = tlg._base_order
     lines = ["digraph tlg {", "  rankdir=LR;"]
     # _value_ is a plain attribute; Enum's .value is a Python-level property
     lines += [f'  {node.id} [label="{node.id}: {node.kind._value_}"];' for node in tlg.nodes]

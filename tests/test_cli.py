@@ -42,7 +42,9 @@ RANDOM_P = PredictorProfile(0.5, 0.5)
 # the CLI is `python -m newcomb` with src on PYTHONPATH; if it is an
 # installed copy, the CLI is the console script installed next to this
 # interpreter, and PYTHONPATH is unset (README, "Tests and acceptance suite").
-CHILD_ENV = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+# PYTHONUNBUFFERED is dropped too, so a child's stdout is buffered as users
+# get it, and the write that fails on a full disk is the flush.
+CHILD_ENV = {name: value for name, value in os.environ.items() if name not in ("PYTHONPATH", "PYTHONUNBUFFERED")}
 # pytest's filterwarnings does not reach child interpreters
 CHILD_ENV["PYTHONWARNINGS"] = "error"
 if Path(newcomb.__file__).resolve().is_relative_to(CHECKOUT / "src"):
@@ -52,8 +54,10 @@ else:
     CLI = [os.path.join(os.path.dirname(sys.executable), "newcomb")]
 
 
-def run_child(command):
-    return subprocess.run(command, capture_output=True, text=True, cwd=tempfile.gettempdir(), env=CHILD_ENV)
+def run_child(command, stdout=subprocess.PIPE):
+    return subprocess.run(
+        command, stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=tempfile.gettempdir(), env=CHILD_ENV
+    )
 
 
 def run_cli(*args):
@@ -616,6 +620,34 @@ def test_cli_report_to_a_closed_stdout_exits_3(tmp_path):
         assert result.returncode == code, (argv, result.stderr)
         if code == 3:
             assert result.stderr == "error: cannot write the report: stdout is closed\n"
+
+
+def test_cli_report_that_cannot_be_written_exits_3(tmp_path):
+    # A pipe whose reader has gone and, where it exists, /dev/full. The
+    # buffered write succeeds and the flush fails; left to interpreter exit,
+    # that flush printed "Exception ignored" and exited 120.
+    config = tmp_path / "game.json"
+    config.write_text(CLASSIC_JSON)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    sinks = {"closed pipe": write_end}
+    if os.path.exists("/dev/full"):
+        sinks["/dev/full"] = os.open("/dev/full", os.O_WRONLY)
+    commands = (
+        ["expected", "--config", str(config)],
+        ["simulate", "--config", str(config), "--trials", "100"],
+        ["--version"],
+    )
+    try:
+        for sink, fd in sinks.items():
+            for argv in commands:
+                result = run_child([*CLI, *argv], stdout=fd)
+                # one error line, and no "Exception ignored" report after it
+                outcome = (result.returncode, result.stderr[:7], result.stderr.count("\n"))
+                assert outcome == (3, "error: ", 1), (sink, argv, result.stderr)
+    finally:
+        for fd in sinks.values():
+            os.close(fd)
 
 
 def test_cli_report_is_written_in_one_call(tmp_path):

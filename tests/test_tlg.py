@@ -877,9 +877,14 @@ def test_copy_of_a_copy_is_rejected_before_any_walk():
         )
 
 
+def _base_chain_ids(g):
+    """Reference originals, from the nodes and not g.original_ids(): no copy or elaboration, by id."""
+    return sorted(node.id for node in g.nodes if node.copy_of is None and node.kind is not EventKind.ELABORATION)
+
+
 def _twists_by_double_loop(walk, g):
     """Reference: compare every pair of mapped positions."""
-    position = {node_id: idx for idx, node_id in enumerate(g.original_ids())}
+    position = {node_id: idx for idx, node_id in enumerate(_base_chain_ids(g))}
     mapped = []
     for node_id in walk:
         node = g.node(node_id)
@@ -995,7 +1000,7 @@ def test_dot_output_is_byte_stable():
 
 def _reference_dot(g):
     """The DOT text by its rule: nodes by id, sorted(edges), each class's members ascending."""
-    originals = set(g.original_ids())
+    originals = set(_base_chain_ids(g))
     lines = ["digraph tlg {", "  rankdir=LR;"]
     for node in sorted(g.nodes, key=lambda node: node.id):
         lines.append(f'  {node.id} [label="{node.id}: {node.kind.value}"];')
@@ -1053,6 +1058,11 @@ _MIXED_GRAPH = TLGraph.build(
 def test_hand_built_graphs_reach_each_shape(has):
     assert has(_MIXED_GRAPH)
     find(hand_built_graphs(), has, settings=settings(database=None, derandomize=True, phases=[Phase.generate]))
+
+
+def test_original_ids_skip_copies_and_elaborations_in_id_order():
+    # 10 is the elaboration, 11 and 4 are copies; the nodes were given out of order
+    assert _MIXED_GRAPH.original_ids() == (1, 2, 3, 5, 7, 12)
 
 
 @settings(max_examples=300, deadline=None)
