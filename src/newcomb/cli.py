@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 validation/usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -287,13 +288,23 @@ def _flush_stdout() -> None:
         raise
 
 
+_STDOUT_CLOSED = "cannot write the report: stdout is closed"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    closed = sys.stdout is None  # fd 1 was closed at start-up
     try:
         try:
+            if closed:  # else argparse prints --version and --help on stderr
+                sys.stdout = io.StringIO()
             args, unknown = parser.parse_known_args(argv)
         finally:  # --version and --help print and exit in there
-            if sys.stdout is not None:
+            if closed:
+                printed, sys.stdout = sys.stdout.getvalue(), None
+                if printed:
+                    raise OSError(_STDOUT_CLOSED)
+            else:
                 _flush_stdout()
         if unknown:
             args.usage.error(f"unrecognized arguments: {' '.join(unknown)}")
@@ -302,8 +313,8 @@ def main(argv: list[str] | None = None) -> int:
             config = _load_config(args)
             # With fd 1 closed at start-up, sys.stdout is None and print writes
             # nothing, so the report is refused before any trial is drawn.
-            if sys.stdout is None:
-                raise OSError("cannot write the report: stdout is closed")
+            if closed:
+                raise OSError(_STDOUT_CLOSED)
             # One write, so that an unbuffered stdout never sends the newline
             # after a reader such as `grep -q` has already gone.
             sys.stdout.write(json.dumps(report(config), indent=2, allow_nan=False) + "\n")

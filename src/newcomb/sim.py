@@ -169,17 +169,18 @@ def play_once(
 
 # Trials per numpy-kernel pass; it bounds the kernel's arrays (~1.5 MB).
 _CHUNK = 1 << 16
-# Trials per lane-kernel pass. Interleaved on one host, passes of 2^9 to
-# 2^13 lanes all took 66-67 ns per trial on 2^20 trials, and 2^10 lanes
-# also keep the per-call set-up, one Python step per lane, near 0.25 ms.
+# Trials per lane-kernel pass. Warm, in one process, passes of 2^9 to 2^13
+# lanes cost the same per trial on 2^20 trials to within the host's noise,
+# and 2^10 lanes keep the per-call set-up, one Python step per lane, near
+# 0.25 ms. _LANE_MAX's comment gives the cost per trial.
 _LANES = 1 << 10
 # The largest batch that _count_s1 counts with _count_s1_lanes while numpy
 # is not loaded. Past the crossover, numpy's import costs less than the
-# lanes' extra time per trial. On a 2 vCPU Xeon (Python 3.11.7, numpy
-# 2.4.6), seven interleaved runs in fresh interpreters read `import numpy`
-# at 165-187 ms and, on 2^20 trials, 111-159 ns per trial for the lanes and
-# 6.3-12.6 ns for numpy: crossovers of 1.1e6 to 1.7e6 trials (median
-# 1.45e6). 2^20 = 1.05e6 stays below them all.
+# lanes' extra time per trial. On a shared 2 vCPU Xeon (Python 3.11.7, numpy
+# 2.4.6), seven interleaved pairs of fresh interpreters, each timing one
+# count of 2^20 trials, read the lanes at 62-94 ns per trial (median 64) and
+# numpy at 8.0-8.2 ns after an `import numpy` of 102-110 ms: crossovers of
+# 1.3e6 to 2.0e6 trials. 2^20 = 1.05e6 stays below them all.
 _LANE_MAX = 1 << 20
 # The fewest trials _count_s1 gives each worker of a thread pool. On a 2 vCPU
 # Xeon (Python 3.11.7, numpy 2.4.6), medians of seven alternating runs of

@@ -31,6 +31,7 @@ checked arguments they build graphs valid by construction (see unfold).
 from __future__ import annotations
 
 import math
+from _thread import allocate_lock  # threading's Lock, without importing threading
 from collections.abc import Iterable, Sequence
 from enum import Enum
 from functools import cached_property
@@ -298,17 +299,33 @@ MAX_CHAIN_LENGTH = 1 << 16
 MAX_TWISTS = 1 << 20
 
 
+# base_chain's graphs by length, least recently used first. They hold at most
+# MAX_CHAIN_LENGTH nodes in all: at worst one 2^16-event chain, 16 MB, or 29 MB
+# with its views. The lock makes each lookup, build and eviction one step.
+_chains: dict[int, TLGraph] = {}
+_chains_lock = allocate_lock()
+
+
 def base_chain(n: int) -> TLGraph:
     """A causal chain (1) -> (2) -> ... -> (n) with no entanglement.
 
     A length-4 chain gets the game's event kinds; any other length is
-    a generic action list.
+    a generic action list. Graphs are immutable, so each length's chain
+    is built once and shared: calls return the same graph while it is
+    cached, and the cached chains hold at most MAX_CHAIN_LENGTH nodes in
+    all, the least recently used going first.
     """
     check_int(n, "chain length", 1, MAX_CHAIN_LENGTH)
-    kinds = _GAME_CHAIN_KINDS if n == 4 else (EventKind.GENERIC,) * n
-    nodes = tuple(map(_node, range(1, n + 1), kinds))
-    edges = frozenset(zip(range(1, n), range(2, n + 1)))
-    return _graph(nodes, edges, ())
+    with _chains_lock:
+        chain = _chains.pop(n, None)
+        if chain is None:
+            kinds = _GAME_CHAIN_KINDS if n == 4 else (EventKind.GENERIC,) * n
+            nodes = tuple(map(_node, range(1, n + 1), kinds))
+            chain = _graph(nodes, frozenset(zip(range(1, n), range(2, n + 1))), ())
+            while n + sum(_chains) > MAX_CHAIN_LENGTH:  # the keys are the lengths
+                del _chains[next(iter(_chains))]
+        _chains[n] = chain  # now the most recently used
+    return chain
 
 
 def _require_chain(graph: TLGraph, n: int) -> None:
@@ -584,6 +601,12 @@ def to_dot(tlg: TLGraph) -> str:
             style = "solid" if u in originals and v in originals else "dashed"
             lines.append(f"  {u} -> {v} [style={style}];")
     for cls in tlg.entanglement:
+        if len(cls) == 2:  # every class unfold makes: a swap, not a sort
+            a, b = cls
+            if a > b:
+                a, b = b, a
+            lines.append(f"  {a} -> {b} [dir=none, style=dotted, constraint=false];")
+            continue
         a, *rest = sorted(cls)
         for b in rest:
             lines.append(f"  {a} -> {b} [dir=none, style=dotted, constraint=false];")

@@ -614,6 +614,9 @@ def test_cli_report_to_a_closed_stdout_exits_3(tmp_path):
         (["simulate", "--config", str(config), "--trials", "100"], 3),
         (["region", "--config", str(config), "--out", str(tmp_path / "region.csv")], 0),
         (["graph", "--out", str(tmp_path / "tlg.dot")], 0),
+        # argparse would print these two on stderr and exit 0
+        (["--version"], 3),
+        (["--help"], 3),
     ]
     for argv, code in commands:
         result = run_child(["sh", "-c", '"$0" "$@" >&-', *CLI, *argv])

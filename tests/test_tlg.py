@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -107,11 +108,69 @@ def test_base_chain_three_nodes_is_generic():
 
 
 @pytest.mark.parametrize(
-    "bad", [0, -1, 2.5, "3", 2**16 + 1, 2**63, pytest.param(10**5000, id="10**5000")]
+    "bad", [0, -1, 2.5, "3", 2**16 + 1, 2**63, pytest.param(10**5000, id="10**5000"), True, 4.0]
 )
 def test_base_chain_rejects_bad_length(bad):
+    # lengths 1 and 4 cached: a lookup by key alone would take True and 4.0
+    base_chain(1), base_chain(4)
     with pytest.raises(ValidationError):
         base_chain(bad)
+
+
+def test_base_chain_shares_one_graph_per_length():
+    for n in (1, 4, 40):
+        chain = base_chain(n)
+        assert base_chain(n) is chain
+        _assert_equals_checked_rebuild(chain)
+
+
+def test_cached_chains_hold_at_most_max_chain_length_nodes(monkeypatch):
+    import newcomb.tlg as tlg_module
+
+    monkeypatch.setattr(tlg_module, "_chains", {})
+    monkeypatch.setattr(tlg_module, "MAX_CHAIN_LENGTH", 10)
+    cached = tlg_module._chains
+    # after each call: the cached lengths, least recently used first
+    for n, lengths in [(4, [4]), (5, [4, 5]), (4, [5, 4]), (3, [4, 3]), (2, [4, 3, 2]),
+                       (1, [4, 3, 2, 1]), (6, [2, 1, 6]), (10, [10]), (1, [1])]:
+        chain = base_chain(n)
+        assert list(cached) == lengths and cached[n] is chain and len(chain.nodes) == n
+        assert sum(len(g.nodes) for g in cached.values()) <= 10
+    with pytest.raises(ValidationError):
+        base_chain(11)
+
+
+def test_base_chain_from_many_threads(monkeypatch):
+    # a small bound, so that the threads evict each other's chains all the time
+    import newcomb.tlg as tlg_module
+
+    monkeypatch.setattr(tlg_module, "_chains", {})
+    monkeypatch.setattr(tlg_module, "MAX_CHAIN_LENGTH", 12)
+    expected = {n: TLGraph.build(base_chain(n).nodes, base_chain(n).edges) for n in range(1, 9)}
+    errors, wrong = [], []
+
+    def work(offset):
+        try:
+            for i in range(10000):
+                n = 1 + (i * 3 + offset) % 8
+                if base_chain(n) != expected[n]:
+                    wrong.append(n)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and wrong == []
+    assert sum(len(g.nodes) for g in tlg_module._chains.values()) <= 12
 
 
 # ── unfold ─────────────────────────────────────────────────────────
@@ -274,6 +333,8 @@ def test_unfold_builds_one_graph_without_the_closure(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(tlg_module, "_graph", counting_graph)
+    # an empty cache: OMEGA_ORDER cached base_chain(4) at import
+    monkeypatch.setattr(tlg_module, "_chains", {})
     with pytest.raises(AssertionError):
         TLGraph.build(_TWO_NODES, [])  # the patch bites on the build path
     for n, k, m in [(2, 1, 2), (4, 2, 3), (40, 9, 23)]:
@@ -281,6 +342,7 @@ def test_unfold_builds_one_graph_without_the_closure(monkeypatch):
         chain = base_chain(n)
         assert built == [chain]
         built.clear()
+        assert base_chain(n) is chain and built == []  # the second call builds nothing
         unfolded = unfold(chain, UnfoldSpec(n, k, m))
         assert len(built) == 1 and built[0] is unfolded
 
@@ -991,6 +1053,14 @@ def test_dot_plain_chain_is_all_solid():
     assert (nodes, edges, tangles) == (4, 3, 0)
     assert text.count("style=solid") == 3
     assert "style=dashed" not in text
+
+
+def test_dot_writes_a_pair_in_ascending_order():
+    # CPython iterates frozenset({1, 8}) as (8, 1), so this pair needs the swap
+    assert tuple(frozenset({1, 8})) == (8, 1)
+    text = to_dot(_generic_graph(8, [], [(1, 8)]))
+    assert "\n  1 -> 8 [dir=none, style=dotted, constraint=false];\n" in text
+    assert "8 -> 1" not in text
 
 
 def test_dot_output_is_byte_stable():
