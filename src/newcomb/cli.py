@@ -128,11 +128,6 @@ def parse_config(text: str) -> GameConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _format_probability(x: float) -> str:
-    # up to 6 significant digits, trailing zeros trimmed
-    return format(x, ".6g")
-
-
 def cmd_expected(config: GameConfig) -> dict:
     """Expected utilities, the chosen action, and boundary coefficients."""
     check_type(config, "config", GameConfig)
@@ -154,7 +149,8 @@ def _region_lines(config: GameConfig) -> Iterator[str]:
     # Each row is then one join of preformatted ",p2,C1\n" / ",p2,C2\n"
     # suffixes separated by the row's p1 label, made only when iterated.
     grid = region_grid(config.utilities, config.resolution)
-    labels = [_format_probability(grid.axis_value(i)) for i in range(grid.resolution)]
+    # up to 6 significant digits, trailing zeros trimmed
+    labels = [format(grid.axis_value(i), ".6g") for i in range(grid.resolution)]
     c1 = [f",{p2},C1\n" for p2 in labels]
     c2 = [f",{p2},C2\n" for p2 in labels]
     rows = (

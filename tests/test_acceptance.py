@@ -8,9 +8,8 @@ PASS line with the measured values. The module also runs standalone:
 
 import itertools
 import math
+import random
 import time
-
-import numpy as np
 
 from newcomb import (
     CChoice,
@@ -157,15 +156,15 @@ def test_criterion_09_property_suite():
         assert entanglement_closure(once) == once
 
     # translation and positive-scaling invariance of choose
-    gen = np.random.default_rng(1234)
+    gen = random.Random(1234)
     for _ in range(1000):
-        entries = gen.uniform(0.0, 1e6, size=4)
-        p = PredictorProfile(*gen.uniform(0.0, 1.0, size=2))
+        entries = [gen.uniform(0.0, 1e6) for _ in range(4)]
+        p = PredictorProfile(gen.uniform(0.0, 1.0), gen.uniform(0.0, 1.0))
         shift = gen.uniform(0.0, 1e6)
         scale = gen.uniform(0.1, 10.0)
         picked = choose(UtilityMatrix(*entries), p)
-        assert choose(UtilityMatrix(*(entries + shift)), p) is picked
-        assert choose(UtilityMatrix(*(entries * scale)), p) is picked
+        assert choose(UtilityMatrix(*(x + shift for x in entries)), p) is picked
+        assert choose(UtilityMatrix(*(x * scale for x in entries)), p) is picked
 
     # parallel determinism
     # (the last size gives two workers sim._WORKER_MIN_TRIALS trials each, so

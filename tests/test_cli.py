@@ -19,7 +19,6 @@ from newcomb import ConfigError, PredictorProfile, UtilityMatrix, ValidationErro
 from newcomb.cli import (
     GameConfig,
     _build_parser,
-    _format_probability,
     cmd_expected,
     cmd_graph,
     cmd_region,
@@ -259,7 +258,7 @@ def _naive_region_csv(config):
     for i in range(config.resolution):
         for j in range(config.resolution):
             choice = choose(config.utilities, PredictorProfile(i / step, j / step))
-            lines.append(f"{_format_probability(i / step)},{_format_probability(j / step)},{choice.value}")
+            lines.append(f"{i / step:.6g},{j / step:.6g},{choice.value}")
     return "".join(line + "\n" for line in lines)
 
 

@@ -1,9 +1,9 @@
 """Unit tests for the closed-form decision analysis."""
 
 import math
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,10 +55,10 @@ def test_expected_utilities_flat_matrix_is_constant():
 
 def test_affine_identity_against_direct_blend():
     """U_j must equal the probability blend of its column, v1j*q + v2j*(1-q)."""
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     for _ in range(500):
-        v = UtilityMatrix(*rng.uniform(0, 1e6, size=4))
-        p = PredictorProfile(*rng.uniform(0, 1, size=2))
+        v = UtilityMatrix(*(rng.uniform(0, 1e6) for _ in range(4)))
+        p = PredictorProfile(rng.uniform(0, 1), rng.uniform(0, 1))
         u1, u2 = expected_utilities(v, p)
         blend1 = v.v11 * p.p1 + v.v21 * (1.0 - p.p1)
         blend2 = v.v12 * (1.0 - p.p2) + v.v22 * p.p2
@@ -169,14 +169,14 @@ def test_choose_positive_scaling_invariant(v, p1, p2, scale):
 
 
 def test_dominance_implies_c1_on_uncorrelated_line():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     found = 0
     while found < 50:
-        v = UtilityMatrix(*rng.uniform(0, 1e6, size=4))
+        v = UtilityMatrix(*(rng.uniform(0, 1e6) for _ in range(4)))
         if dominant_choice(v) is not CChoice.C1:
             continue
         found += 1
-        for p1 in np.linspace(0.0, 1.0, 21):
+        for p1 in (i / 20 for i in range(21)):
             assert choose(v, PredictorProfile(p1, 1.0 - p1)) is CChoice.C1
 
 
@@ -368,10 +368,9 @@ def test_dominant_choice_second_column():
 
 
 def test_dominant_choice_matches_columnwise_comparison():
-    rng = np.random.default_rng(99)
+    rng = random.Random(99)
     for _ in range(200):
-        entries = rng.integers(0, 5, size=4).astype(float)
-        v = UtilityMatrix(*entries)
+        v = UtilityMatrix(*(float(rng.randrange(5)) for _ in range(4)))
         expected = None
         if v.v11 > v.v12 and v.v21 > v.v22:
             expected = CChoice.C1
