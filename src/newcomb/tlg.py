@@ -230,7 +230,8 @@ class TLGraph(Record):
     @cached_property
     def _successors(self) -> dict[int, tuple[int, ...]]:
         # node -> its successors ascending, in node (id) order, so to_dot reads
-        # sorted(edges) off it; no sort of all edges (about 120 us at n = 384)
+        # sorted(edges) off it with no sort of all edges. unfold hands its graphs
+        # this view, so only hand-built graphs and their closures derive it here
         out: dict[int, list[int]] = {n.id: [] for n in self.nodes}
         for u, v in self.edges:
             out[u].append(v)
@@ -262,11 +263,12 @@ class TLGraph(Record):
         return dict(zip(originals, range(len(originals))))
 
 
-def _graph(nodes, edges, entanglement) -> TLGraph:
+def _graph(nodes, edges, entanglement, **views) -> TLGraph:
     graph = object.__new__(TLGraph)
     set_field(graph, "nodes", nodes)
     set_field(graph, "edges", edges)
     set_field(graph, "entanglement", entanglement)
+    vars(graph).update(views)  # views the builder knows, where cached_property keeps them
     return graph
 
 
@@ -292,8 +294,9 @@ class UnfoldSpec(Record):
 
 GAME_UNFOLD = UnfoldSpec(n=4, k=2, m=3)
 
-# The longest chain base_chain builds. With unfold at k = 1, the most copies,
-# that took 0.3-0.45 s and 80 MB peak RSS (2 vCPU Xeon, Python 3.11).
+# The longest chain base_chain builds. At k = 1, the most copies, base_chain and
+# unfold took 0.27-0.38 s and 109 MB peak RSS, 32 MB of it the views unfold builds
+# up front; with to_dot, which reads them, 0.40-0.57 s and 164 MB (2 vCPU Xeon, Python 3.11).
 MAX_CHAIN_LENGTH = 1 << 16
 # The most inversions detect_twist returns; a walk with more raises. The
 # oracle's walk on unfold(base_chain(2^16), UnfoldSpec(2^16, 2, 2^16)) has
@@ -379,7 +382,16 @@ def unfold(chain: TLGraph, spec: UnfoldSpec) -> TLGraph:
     ))
     entanglement = tuple(map(frozenset, zip(range(k + 1, n + 1), copy_ids)))
     nodes = (*chain.nodes, _node(elaboration, EventKind.ELABORATION), *copies)
-    return _graph(nodes, edges, entanglement)
+    # the views TLGraph would derive: ids 1..2n+1-k; successors i+1 along chain
+    # and copies, the detour m -> E -> k and k's branch; the chain's originals
+    ids = range(1, copy_ids.stop)
+    successors = dict(zip(ids, zip(range(2, copy_ids.stop + 1))))
+    successors[n] = successors[copy_ids[-1]] = ()
+    successors[m] += (elaboration,)
+    successors[elaboration] = (k,)
+    successors[k] = (k + 1, n + 2)
+    views = {"_by_id": dict(zip(ids, nodes)), "_successors": successors, "_base_order": chain._base_order}
+    return _graph(nodes, edges, entanglement, **views)
 
 
 def game_graph() -> TLGraph:
@@ -533,7 +545,10 @@ def entanglement_closure(tlg: TLGraph) -> TLGraph:
             worklist.extend((rep, c) for c in their_successors)
             ours[k] = [rep]
     classes = tuple(sorted(ds.classes(), key=min))
-    return _graph(tlg.nodes, tlg.edges, classes)
+    # the views depend only on the nodes and edges, which the closure keeps
+    built = vars(tlg)
+    views = {name: built[name] for name in ("_by_id", "_successors", "_base_order") if name in built}
+    return _graph(tlg.nodes, tlg.edges, classes, **views)
 
 
 def detect_twist(timeline: Sequence[int], tlg: TLGraph) -> list[tuple[int, int]]:

@@ -2,10 +2,10 @@
 
 import concurrent.futures
 import math
-import tracemalloc
+import random
+import statistics
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -118,31 +118,45 @@ def _threshold(q):
     return math.ceil(q * 2.0**53) << 11
 
 
-# The two S1 kernels, each with the trials it handles in one pass, and the
-# thresholds of the q they are given: 0 < q < 1, which the dispatcher
-# _count_s1 decides without a draw at q = 0 and 1.
-KERNELS = pytest.mark.parametrize(
-    "count, chunk",
-    [(sim._count_s1_numpy, sim._CHUNK), (sim._count_s1_lanes, sim._LANES)],
-    ids=["numpy", "lanes"],
-)
+# The lane kernel with the trials it handles in one pass, and the thresholds
+# of the q a kernel is given: 0 < q < 1, which the dispatcher _count_s1 decides
+# without a draw at q = 0 and 1. The other kernel's tests, in a module of their
+# own, run the same two checks on it.
+KERNELS = pytest.mark.parametrize("count, chunk", [(sim._count_s1_lanes, sim._LANES)], ids=["lanes"])
 _DRAWN_QS = _thresholds().filter(lambda q: 0.0 < q < 1.0)
-
-
-@KERNELS
-@settings(deadline=None)
-@given(
+# Spans of up to 2^10 trials for a kernel to count, and a drawn q
+_KERNEL_SPANS = dict(
     seed=st.integers(0, (1 << 64) - 1),
     n=st.integers(0, 1 << 10),
     at_top=st.booleans(),
     start=st.integers(0, (1 << 64) - (1 << 10)),
     q=_DRAWN_QS,
 )
-def test_kernel_counts_the_draws_of_trial_streams(count, chunk, seed, n, at_top, start, q):
+
+
+def _assert_kernel_counts_the_draws(count, seed, n, at_top, start, q):
     # at_top puts the span against 2^64, where the Weyl offset wraps
     start = (1 << 64) - n - start % 4 if at_top else start
     expected = sum(TrialStream(seed, i).uniform() < q for i in range(start, start + n))
     assert count(seed, start, start + n, _threshold(q)) == expected
+
+
+def _assert_kernel_counts_the_draws_across_chunks(count, chunk, at_top):
+    # two full passes of the kernel and three trials more; at_top ends the span at 2^64
+    n = 2 * chunk + 3
+    start = (1 << 64) - n if at_top else 0
+    seed = 0x243F6A8885A308D3
+    draws = [TrialStream(seed, i).uniform() for i in range(start, start + n)]
+    # 0.3 lies between two cut points k * 2^-53; the second q is one
+    for q in (0.3, 3602879701896397 * 2.0**-53):
+        assert count(seed, start, start + n, _threshold(q)) == sum(u < q for u in draws)
+
+
+@KERNELS
+@settings(deadline=None)
+@given(**_KERNEL_SPANS)
+def test_kernel_counts_the_draws_of_trial_streams(count, chunk, seed, n, at_top, start, q):
+    _assert_kernel_counts_the_draws(count, seed, n, at_top, start, q)
 
 
 @settings(deadline=None)
@@ -163,48 +177,7 @@ def test_count_s1_counts_the_draws_of_trial_streams(seed, n, at_top, start, q):
 @KERNELS
 @pytest.mark.parametrize("at_top", [False, True], ids=["from-0", "to-2^64"])
 def test_kernel_counts_the_draws_of_trial_streams_across_chunks(count, chunk, at_top):
-    # two full passes of the kernel and three trials more; at_top ends the span at 2^64
-    n = 2 * chunk + 3
-    start = (1 << 64) - n if at_top else 0
-    seed = 0x243F6A8885A308D3
-    draws = [TrialStream(seed, i).uniform() for i in range(start, start + n)]
-    # 0.3 lies between two cut points k * 2^-53; the second q is one
-    for q in (0.3, 3602879701896397 * 2.0**-53):
-        assert count(seed, start, start + n, _threshold(q)) == sum(u < q for u in draws)
-
-
-@settings(deadline=None)
-@given(
-    seed=st.integers(0, (1 << 64) - 1),
-    n=st.integers(0, 4 * sim._LANES),
-    at_top=st.booleans(),
-    start=st.integers(0, (1 << 64) - 4 * sim._LANES),
-    q=_DRAWN_QS,
-)
-def test_lane_and_numpy_kernels_agree_across_lane_passes(seed, n, at_top, start, q):
-    # Spans of up to four lane passes, whose last pass is usually a short one;
-    # at_top puts the span against 2^64, where the Weyl offset wraps
-    start = (1 << 64) - n - start % 4 if at_top else start
-    t = _threshold(q)
-    assert sim._count_s1_lanes(seed, start, start + n, t) == sim._count_s1_numpy(seed, start, start + n, t)
-
-
-def test_numpy_kernel_memory_is_bounded_by_one_chunk():
-    # The kernel's arrays hold one _CHUNK-trial pass, so its peak does not grow
-    # with the batch: 16 chunks peak within a few Python objects (not one
-    # 512 KiB array of the pass) of 1 chunk.
-    def peak(n):
-        tracemalloc.start()
-        try:
-            sim._count_s1_numpy(5, 0, n, 1 << 63)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    sim._count_s1_numpy(5, 0, 1, 1 << 63)  # numpy's import and first-call caches
-    one, sixteen = peak(sim._CHUNK), peak(16 * sim._CHUNK)
-    assert abs(sixteen - one) < 4096
-    assert sixteen < 2 << 20
+    _assert_kernel_counts_the_draws_across_chunks(count, chunk, at_top)
 
 
 # ── play_once ──────────────────────────────────────────────────────
@@ -491,11 +464,11 @@ def test_conditional_frequency_converges():
 
 def test_mean_converges_to_expected_utility():
     """At a million trials the batch mean sits within 4 SE of the theory."""
-    gen = np.random.default_rng(3)
+    gen = random.Random(3)
     n = 1_000_000
     for case in range(5):
-        v = UtilityMatrix(*gen.uniform(0, 1e6, size=4))
-        p = PredictorProfile(*gen.uniform(0, 1, size=2))
+        v = UtilityMatrix(*(gen.uniform(0, 1e6) for _ in range(4)))
+        p = PredictorProfile(*(gen.uniform(0, 1) for _ in range(2)))
         c = CChoice.C1 if case % 2 == 0 else CChoice.C2
         report = monte_carlo(v, p, c, n, RngSpec(case), parallelism=4)
         tolerance = 4.0 * standard_error(v, p, c, n)
@@ -522,10 +495,8 @@ def test_standard_error_matches_sample_statistics():
     p = PredictorProfile(0.3, 0.8)
     n = 200_000
     rng = RngSpec(8)
-    utilities = np.array(
-        [play_once(CLASSIC, p, CChoice.C1, rng.stream(i)).utility for i in range(n)]
-    )
-    sample_se = utilities.std(ddof=1) / math.sqrt(n)
+    utilities = [play_once(CLASSIC, p, CChoice.C1, rng.stream(i)).utility for i in range(n)]
+    sample_se = statistics.stdev(utilities) / math.sqrt(n)
     assert standard_error(CLASSIC, p, CChoice.C1, n) == pytest.approx(sample_se, rel=0.02)
 
 

@@ -329,8 +329,8 @@ def test_unfold_builds_one_graph_without_the_closure(monkeypatch):
     built = []
     unchecked_graph = tlg_module._graph
 
-    def counting_graph(*fields):
-        built.append(unchecked_graph(*fields))
+    def counting_graph(*fields, **views):
+        built.append(unchecked_graph(*fields, **views))
         return built[-1]
 
     monkeypatch.setattr(tlg_module, "_graph", counting_graph)
@@ -380,6 +380,44 @@ def test_dot_bytes_of_every_unfold_up_to_n_40_are_pinned():
             for m in range(k + 1, n + 1):
                 digest.update(to_dot(unfold(chain, UnfoldSpec(n, k, m))).encode())
     assert digest.hexdigest() == "cebdd52d740c01dea691856e9a95ea764b7563f0f8680effc99d2cb8624616bf"
+
+
+_VIEWS = ("_by_id", "_successors", "_base_order")
+
+
+def _assert_held_views_are_derived(g, names):
+    """Each named view g holds equals, key order included, what TLGraph derives once it is popped."""
+    for name in names:
+        held = vars(g).pop(name)  # a KeyError if g was not handed it
+        derived = getattr(g, name)
+        assert held == derived and list(held) == list(derived), name
+
+
+def test_unfold_hands_its_graph_the_views_it_would_derive():
+    count = 0
+    for n in range(2, 41):
+        chain = base_chain(n)
+        for k in range(1, n):
+            for m in range(k + 1, n + 1):
+                _assert_held_views_are_derived(unfold(chain, UnfoldSpec(n, k, m)), _VIEWS)
+                count += 1
+    assert count == 10660
+
+
+@pytest.mark.parametrize("n, k, m, successors", [
+    # m == n: n's one successor is the elaboration 5
+    (4, 2, 4, {1: (2,), 2: (3, 6), 3: (4,), 4: (5,), 5: (2,), 6: (7,), 7: ()}),
+    # k = 1: event 1 fans out to 2 and its copy 6, and the detour comes back to 1
+    (4, 1, 2, {1: (2, 6), 2: (3, 5), 3: (4,), 4: (), 5: (1,), 6: (7,), 7: (8,), 8: ()}),
+    (5, 1, 5, {1: (2, 7), 2: (3,), 3: (4,), 4: (5,), 5: (6,), 6: (1,), 7: (8,), 8: (9,), 9: (10,), 10: ()}),
+], ids=["m-is-n", "k-is-1", "k-is-1-and-m-is-n"])
+def test_unfold_views_at_the_edges_of_the_spec(n, k, m, successors):
+    chain = base_chain(n)
+    g = unfold(chain, UnfoldSpec(n, k, m))
+    assert list(vars(g)["_successors"].items()) == list(successors.items())
+    assert list(vars(g)["_by_id"]) == list(successors) == [node.id for node in g.nodes]
+    assert vars(g)["_base_order"] is chain._base_order  # shared, not rebuilt
+    _assert_held_views_are_derived(g, _VIEWS)
 
 
 # ── graph validation ───────────────────────────────────────────────
@@ -931,6 +969,23 @@ def test_closure_adds_nothing_for_one_shared_successor():
     g = _generic_graph(3, [(1, 3), (2, 3)], [(1, 2)])
     assert entanglement_closure(g) == g
     assert brute_force_closure(g) == set(g.entanglement)
+
+
+def test_closure_passes_on_the_views_its_input_built():
+    unfolded = unfold(base_chain(7), UnfoldSpec(7, 3, 5))
+    closed = entanglement_closure(unfolded)
+    for name in _VIEWS:
+        assert vars(closed)[name] is vars(unfolded)[name]
+    _assert_held_views_are_derived(closed, _VIEWS)
+    # a hand-built graph holds only the views read from it so far
+    g = unfold(base_chain(7), UnfoldSpec(7, 3, 5)).with_entanglement([(4, 9)])
+    assert not set(_VIEWS) & set(vars(entanglement_closure(g)))
+    g.successors(4)  # builds _by_id and _successors
+    closed = entanglement_closure(g)
+    assert set(vars(closed)) == {"_by_id", "_successors"}
+    _assert_held_views_are_derived(closed, ("_by_id", "_successors"))
+    g.original_ids()  # and _base_order
+    _assert_held_views_are_derived(entanglement_closure(g), _VIEWS)
 
 
 def test_closure_partition_laws():
